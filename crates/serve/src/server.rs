@@ -50,9 +50,7 @@ use std::time::{Duration, Instant};
 
 use modref_core::Analyzer;
 use modref_guard::{Budget, FaultPlan, Guard, Interrupt};
-use modref_incr::render::{
-    render_json, render_json_proc, render_json_site, render_json_site_answer, SiteSets,
-};
+use modref_incr::render::{render_json, render_json_proc, render_json_site_answer, SiteSets};
 use modref_bitset::SetRepr;
 use modref_incr::{AnyQueryEngine, IncrOutcome, Script};
 use modref_ir::{CallSiteId, ProcId, Program};
@@ -673,11 +671,11 @@ fn conservative_report(program: &Program, target: &crate::proto::QueryTarget) ->
             if *n >= program.num_sites() {
                 return None;
             }
-            Some(render_json_site(
-                program,
-                &SiteSets::conservative(program),
-                CallSiteId::new(*n),
-            ))
+            // This site's slice of `SiteSets::conservative`, without
+            // widening every other site too.
+            let site = CallSiteId::new(*n);
+            let wide = program.visible_set(program.site(site).caller());
+            Some(render_json_site_answer(program, site, &wide, &wide, &wide))
         }
         QueryTarget::Proc(name) => {
             let p = find_proc(program, name)?;

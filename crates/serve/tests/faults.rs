@@ -25,9 +25,9 @@ use std::time::{Duration, Instant};
 use modref_core::Analyzer;
 use modref_frontend::parse_program;
 use modref_guard::FaultPlan;
-use modref_incr::render::{render_json, SiteSets};
+use modref_incr::render::{render_json, render_json_site, SiteSets};
 use modref_incr::Script;
-use modref_ir::Program;
+use modref_ir::{CallSiteId, Program};
 use modref_serve::frame::write_frame;
 use modref_serve::{Client, Envelope, QueryTarget, Request, Server, ServerConfig, Status};
 use modref_trace::{parse_json, Json};
@@ -235,6 +235,46 @@ fn session_site_exhaust_answers_queries_with_the_conservative_widening() {
         "degraded report is the documented conservative widening"
     );
     assert_report_superset(&scratch_report(&program), report, "exhausted query");
+    handle.shutdown();
+}
+
+/// Nested scopes, so the conservative widening differs by caller: `main`
+/// sees `m`, `outer` sees `x`/`o`, `inner` sees all of those plus `y`/`i`.
+const NESTED_SRC: &str = "var g, h;\n\
+     proc outer(x) {\n  var o;\n  \
+       proc inner(y) {\n    var i;\n    y = o + i;\n    g = h;\n    call leaf(i);\n  }\n  \
+       call inner(o);\n  call inner(x);\n  o = x;\n}\n\
+     proc leaf(z) {\n  z = g;\n}\n\
+     main {\n  var m;\n  call outer(g);\n  call leaf(m);\n  call outer(m);\n  call leaf(h);\n}\n";
+
+#[test]
+fn session_site_exhaust_widens_one_site_query_to_its_callers_visible_set() {
+    let handle = spawn(ServerConfig {
+        faults: Some(FaultPlan::new().exhaust_at("serve.session")),
+        fault_session: Some("sick".to_string()),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(handle.addr()).expect("connects");
+    assert_eq!(open(&mut client, "sick", NESTED_SRC), Status::Ok);
+
+    let program = parse_program(NESTED_SRC).expect("parses");
+    let wide = SiteSets::conservative(&program);
+    assert!(program.num_sites() >= 6, "every caller scope has a site");
+    for n in 0..program.num_sites() {
+        let resp = client
+            .request(Request::Query {
+                session: "sick".to_string(),
+                target: QueryTarget::Site(n),
+            })
+            .expect("query answers");
+        assert_eq!(resp.status, Status::Degraded, "site {n}");
+        let report = resp.str_field("report").expect("degraded query answers");
+        assert_eq!(
+            report,
+            render_json_site(&program, &wide, CallSiteId::new(n)),
+            "site {n}: degraded report is that site's slice of the conservative widening"
+        );
+    }
     handle.shutdown();
 }
 

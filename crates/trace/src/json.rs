@@ -30,6 +30,26 @@ use std::fmt::Write as _;
 #[must_use]
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_json_into(&mut out, s);
+    out
+}
+
+/// [`escape_json`] appending to `out` instead of returning a new string,
+/// for emitters that build one large document and must not allocate per
+/// field.
+///
+/// # Examples
+///
+/// ```
+/// use modref_trace::escape_json_into;
+///
+/// let mut out = String::from("\"");
+/// escape_json_into(&mut out, "a\"b");
+/// out.push('"');
+/// assert_eq!(out, "\"a\\\"b\"");
+/// ```
+pub fn escape_json_into(out: &mut String, s: &str) {
+    out.reserve(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -43,7 +63,6 @@ pub fn escape_json(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// A parsed JSON value. Minimal by design: enough to validate emitted
@@ -405,6 +424,29 @@ mod tests {
             let parsed = parse_json(&wrapped).expect("escaped form parses");
             assert_eq!(parsed.as_str(), Some(*raw), "round-trip of {raw:?}");
         }
+    }
+
+    /// `escape_json_into` appends exactly what `escape_json` returns, on
+    /// every ASCII character (each control-character class included), on
+    /// the two mandatory escapes and on non-ASCII text, and leaves what
+    /// `out` already held untouched.
+    #[test]
+    fn escape_into_appends_the_escape_json_bytes() {
+        let mut inputs: Vec<String> = (0u8..0x80).map(|b| char::from(b).to_string()).collect();
+        inputs
+            .extend(["\"", "\\", "é", "π ∅ 名", "😀", "a\"b\\c\td\u{1}é\u{7f}"].map(String::from));
+        for s in &inputs {
+            let mut out = String::from("prefix:");
+            escape_json_into(&mut out, s);
+            assert_eq!(out, format!("prefix:{}", escape_json(s)), "escaping {s:?}");
+        }
+        // Spot-check the shared bytes against their RFC 8259 forms, so
+        // the two entry points cannot agree on a wrong answer.
+        let mut out = String::new();
+        for s in ["\"", "\\", "\u{0}", "\u{1f}", "\n", " ", "~", "\u{7f}", "é"] {
+            escape_json_into(&mut out, s);
+        }
+        assert_eq!(out, "\\\"\\\\\\u0000\\u001f\\n ~\u{7f}é");
     }
 
     #[test]

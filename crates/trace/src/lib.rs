@@ -63,7 +63,7 @@ use std::time::Instant;
 mod export;
 mod json;
 
-pub use json::{escape_json, parse_json, Json, JsonError};
+pub use json::{escape_json, escape_json_into, parse_json, Json, JsonError};
 
 /// Number of buffer shards. Thread ids are spread over these; 16 is far
 /// above the pool sizes this workspace runs, so shard collisions (and thus

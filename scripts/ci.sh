@@ -39,6 +39,13 @@ echo "ok"
 echo "== build (release, offline) =="
 cargo build --release --offline
 
+# The benchmark is its own Cargo workspace, so the build above does not
+# compile it. Building it here makes a change to the library surface it
+# calls (SiteSets, the renderers, the serve client) fail CI instead of
+# the next benchmark run.
+echo "== build benchmark (release, offline) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # The whole suite runs twice: once pinned to one thread and once with a
 # 4-thread pool, so every default-configured Analyzer in every test
 # exercises both the sequential and the parallel pipeline (results must
