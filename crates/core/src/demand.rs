@@ -795,7 +795,8 @@ impl<'a, S: EffectSet> Demand<'a, S> {
 
     /// Finalises `ALIAS(q)` for `caller` (and, for free, every procedure
     /// in its ancestor closure) by running the pair worklist restricted to
-    /// sites whose callee the closure contains.
+    /// sites whose callee the closure contains. Pairs a cut-short earlier
+    /// solve left in the memo are sound, and the solver resumes from them.
     fn ensure_alias(&mut self, caller: usize) -> Result<(), Interrupt> {
         if self.memo.alias_done[caller] {
             return Ok(());
@@ -824,14 +825,15 @@ impl<'a, S: EffectSet> Demand<'a, S> {
             }
         }
         self.settle()?;
-        let popped = self
+        let items = self
             .memo
             .aliases
             .solve_closure_guarded(self.program, &in_closure, self.guard)?;
-        // The worklist charged the guard itself; record the same work in
-        // this query's ledger without double-charging.
-        self.ops.bool_steps += popped;
-        self.charged.bool_steps += popped;
+        // The worklist charged the guard itself (one boolean step per
+        // seeded site or propagated pair); record the same work in this
+        // query's ledger without double-charging.
+        self.ops.bool_steps += items;
+        self.charged.bool_steps += items;
         for (p, inc) in in_closure.iter().enumerate() {
             if *inc {
                 self.memo.alias_done[p] = true;

@@ -10,7 +10,7 @@ use modref_check::prelude::*;
 use modref_check::runner::CaseResult;
 use modref_core::{
     AnalysisOutcome, Analyzer, Budget, CancelToken, DegradeReason, FaultPlan, Guard, Interrupt,
-    SetRepr, Summary,
+    Phase, SetRepr, Summary,
 };
 use modref_ir::Program;
 use modref_progen::{generate, GenConfig};
@@ -294,6 +294,62 @@ fn forced_exhaust_at_every_site_trips_the_budget() {
             &summary,
             &format!("exhaust@{site}"),
         ));
+    }
+}
+
+/// Boolean steps an analysis charges to `guard` when it counts them (a cap
+/// no run can reach, so the guard never trips on its own).
+fn counting_guard() -> Guard {
+    Guard::new(&Budget::unlimited().with_bool_steps(u64::MAX / 2))
+}
+
+#[test]
+fn budget_trip_inside_the_alias_worklist_degrades_soundly() {
+    // Aim a boolean-step cap halfway into the alias solver's worklist:
+    // `before` steps are charged when it starts (the `alias` checkpoint),
+    // `total` when the run ends, and nothing after it charges boolean
+    // steps — so a run whose charge ends strictly between them tripped
+    // inside the loop, not at a phase boundary.
+    let program = generate(&GenConfig::pascal_like(80, 4), 3);
+    let exact = Analyzer::new().analyze(&program);
+    let at_checkpoint = counting_guard().with_faults(FaultPlan::new().exhaust_at("alias"));
+    let _ = Analyzer::new().threads(1).analyze_guarded(&program, &at_checkpoint);
+    let before = at_checkpoint.charged().1;
+    let full = counting_guard();
+    let outcome = Analyzer::new().threads(1).analyze_guarded(&program, &full);
+    assert!(matches!(outcome, AnalysisOutcome::Clean(_)));
+    let total = full.charged().1;
+    assert!(total >= before + 256, "alias solve too small: {before}..{total}");
+
+    let guard = Guard::new(&Budget::unlimited().with_bool_steps(before + (total - before) / 2));
+    let outcome = Analyzer::new().threads(1).analyze_guarded(&program, &guard);
+    let charged = guard.charged().1;
+    assert!(before < charged && charged < total, "tripped outside the worklist: {charged}");
+    let AnalysisOutcome::Degraded {
+        summary,
+        reason,
+        completed_phases,
+    } = outcome
+    else {
+        panic!("a cap inside the alias worklist must degrade");
+    };
+    assert!(
+        matches!(reason, DegradeReason::Interrupted(Interrupt::BoolBudget)),
+        "unexpected reason {reason}"
+    );
+    assert!(completed_phases.contains(&Phase::Dmod), "{completed_phases:?}");
+    assert!(!completed_phases.contains(&Phase::Aliases), "{completed_phases:?}");
+    expect_pass(check_superset(&program, &exact, &summary, "alias mid-worklist"));
+
+    // Recovery: the same analysis unbudgeted is exact again.
+    let AnalysisOutcome::Clean(again) =
+        Analyzer::new().threads(1).analyze_guarded(&program, &Guard::unlimited())
+    else {
+        panic!("an unlimited rerun must be clean");
+    };
+    for s in program.sites() {
+        assert_eq!(again.mod_site(s), exact.mod_site(s), "MOD({s}) after recovery");
+        assert_eq!(again.use_site(s), exact.use_site(s), "USE({s}) after recovery");
     }
 }
 

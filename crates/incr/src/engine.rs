@@ -861,12 +861,26 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
         drop(phase_span);
         let phase_span = self.trace.span("incr.phase.final");
         guard.checkpoint("incr.final")?;
-        let (aliases, aliases_fresh) = match (mode, old_aliases) {
+        // `caller_stale[p]`: old results of sites in `p` cannot be reused,
+        // because `ALIAS(p)` may differ from the relation they were
+        // factored with, or because a patch touched `p` — the only sign of
+        // a `rebind`, which changes a site's actuals but not its id.
+        let (aliases, mut caller_stale) = match (mode, old_aliases) {
             // Alias pairs depend only on call sites and visibility, both
             // unchanged under a set-local edit.
-            (Mode::SetLocal, Some(a)) => (a, false),
-            _ => (AliasPairsIn::compute_guarded(program, guard)?, true),
+            (Mode::SetLocal, Some(a)) => (a, vec![false; np]),
+            (Mode::Patch, Some(old_a)) => {
+                let a = AliasPairsIn::compute_guarded(program, guard)?;
+                let dirty = program.procs().map(|p| !a.same_pairs(&old_a, p)).collect();
+                (a, dirty)
+            }
+            _ => (AliasPairsIn::compute_guarded(program, guard)?, vec![true; np]),
         };
+        if let (Mode::Patch, Some(d)) = (mode, delta) {
+            for &p in &d.touched_procs {
+                caller_stale[p.index()] = true;
+            }
+        }
         let mut old_sites = old.map(|o| (o.dmod, o.duse, o.mods, o.uses));
         let no_old = old_sites.is_none();
         let mut dmod = Vec::with_capacity(ns);
@@ -879,7 +893,8 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
             let callee = site.callee().index();
             let caller = site.caller();
             let i = s.index();
-            let stale = no_old || is_new_site[i] || aliases_fresh || locals_dirty[callee];
+            let stale =
+                no_old || is_new_site[i] || caller_stale[caller.index()] || locals_dirty[callee];
             let redo_mod = stale || gmod_dirty[callee];
             let redo_use = stale || guse_dirty[callee];
             // Each side compares its fresh value against the (permuted)

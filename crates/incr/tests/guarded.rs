@@ -448,3 +448,107 @@ fn hybrid_engine_zero_budget_degrades_soundly_and_recovers() {
     }
     assert_bit_identical(&engine, "hybrid recovery after zero-budget");
 }
+
+/// A guard that counts boolean steps without ever tripping on its own.
+fn counting_guard() -> Guard {
+    Guard::new(&Budget::unlimited().with_bool_steps(u64::MAX / 2))
+}
+
+/// A program whose alias relation keeps the solver busy for hundreds of
+/// work items.
+fn alias_rich_program() -> Program {
+    generate(&GenConfig::pascal_like(80, 4), 3)
+}
+
+#[test]
+fn budget_trip_inside_the_patch_alias_worklist_degrades_soundly_and_recovers() {
+    // The patch path's alias solve starts right after the `incr.final`
+    // checkpoint and is the last thing the apply charges boolean steps
+    // for: a cap halfway between the charge at the checkpoint and the
+    // charge of a full apply trips inside the worklist.
+    let program = alias_rich_program();
+    let edit = structural_edit(&program);
+    let at_checkpoint = counting_guard().with_faults(FaultPlan::new().exhaust_at("incr.final"));
+    let mut engine = IncrementalEngine::new(program.clone());
+    let outcome = engine.apply_guarded(&edit, &at_checkpoint).expect("valid edit");
+    assert!(outcome.is_degraded());
+    let before = at_checkpoint.charged().1;
+    let full = counting_guard();
+    let mut engine = IncrementalEngine::new(program.clone());
+    let outcome = engine.apply_guarded(&edit, &full).expect("valid edit");
+    assert!(matches!(outcome, IncrOutcome::Clean(_)));
+    assert!(!engine.stats().full_rebuild, "the edit must take the patch path");
+    let total = full.charged().1;
+    assert!(total >= before + 256, "alias solve too small: {before}..{total}");
+
+    let guard = Guard::new(&Budget::unlimited().with_bool_steps(before + (total - before) / 2));
+    let mut engine = IncrementalEngine::new(program);
+    let outcome = engine.apply_guarded(&edit, &guard).expect("valid edit");
+    let charged = guard.charged().1;
+    assert!(before < charged && charged < total, "tripped outside the worklist: {charged}");
+    let IncrOutcome::Degraded { reason } = outcome else {
+        panic!("a cap inside the alias worklist must degrade the apply");
+    };
+    assert!(
+        matches!(reason, IncrDegradeReason::Interrupted(Interrupt::BoolBudget)),
+        "unexpected degrade reason {reason}"
+    );
+    assert_superset(&engine, "patch alias mid-worklist");
+    let next = perturbing_edit(engine.program());
+    match engine
+        .apply_guarded(&next, &Guard::unlimited())
+        .expect("valid edit")
+    {
+        IncrOutcome::Clean(_) => {}
+        IncrOutcome::Degraded { reason } => panic!("clean apply degraded: {reason}"),
+    }
+    assert_bit_identical(&engine, "recovery after a patch alias trip");
+}
+
+#[test]
+fn budget_trip_inside_the_lazy_alias_closure_degrades_soundly_and_recovers() {
+    // A lazy site query settles every earlier stage's charge before its
+    // `query.alias` checkpoint and charges no boolean step after the
+    // closure solve. The retry on the *same* memo resumes from whatever
+    // pairs the cut solve left behind and must still be exact.
+    let program = alias_rich_program();
+    let scratch = Analyzer::new().analyze(&program);
+    let mut tested = 0;
+    let sites: Vec<_> = program.sites().collect();
+    for &site in sites.iter().rev() {
+        let at_checkpoint =
+            counting_guard().with_faults(FaultPlan::new().exhaust_at("query.alias"));
+        let out =
+            modref_incr::QueryEngine::new_lazy(program.clone()).site_answer(site, &at_checkpoint);
+        assert!(out.degraded.is_some(), "exhaust@query.alias must degrade");
+        let before = at_checkpoint.charged().1;
+        let full = counting_guard();
+        let out = modref_incr::QueryEngine::new_lazy(program.clone()).site_answer(site, &full);
+        assert!(out.degraded.is_none());
+        let total = full.charged().1;
+        if total < before + 256 {
+            continue;
+        }
+
+        let guard = Guard::new(&Budget::unlimited().with_bool_steps(before + (total - before) / 2));
+        let mut lazy = modref_incr::QueryEngine::new_lazy(program.clone());
+        let out = lazy.site_answer(site, &guard);
+        let charged = guard.charged().1;
+        assert!(before < charged && charged < total, "{site}: tripped outside: {charged}");
+        let reason = out.degraded.expect("a cap inside the closure solve must degrade");
+        assert!(reason.contains("bool"), "{site}: unexpected reason {reason}");
+        assert!(scratch.mod_site(site).is_subset(&out.answer.mods), "{site}: MOD lost bits");
+        assert!(scratch.use_site(site).is_subset(&out.answer.uses), "{site}: USE lost bits");
+
+        let calm = lazy.site_answer(site, &Guard::unlimited());
+        assert!(calm.degraded.is_none(), "{site}: must recover");
+        assert_eq!(&calm.answer.mods, scratch.mod_site(site), "{site}: exact MOD");
+        assert_eq!(&calm.answer.uses, scratch.use_site(site), "{site}: exact USE");
+        assert_eq!(&calm.answer.dmod, scratch.dmod_site(site), "{site}: exact DMOD");
+        tested += 1;
+        if tested == 3 {
+            break;
+        }
+    }
+    assert_eq!(tested, 3, "too few sites with a large alias closure");
+}
