@@ -65,8 +65,9 @@ fn main() {
         let program = generate(&cfg, seed);
         let (a, b) = toggle_edits(&program);
 
-        // The IR-rebuild floor both paths pay: `Program::apply_edit`
-        // alone, no analysis.
+        // The IR-apply floor both paths pay: `Program::apply_edit`
+        // alone, no analysis. It copies only the edited procedure and
+        // re-checks only its body.
         let mut flip = false;
         group.bench("apply_edit", &param, || {
             flip = !flip;
@@ -88,7 +89,7 @@ fn main() {
         });
 
         // Amortized per-edit cost: each iteration is exactly one apply
-        // (IR rebuild + dirty-set recomputation against the warm cache).
+        // (IR apply + dirty-set recomputation against the warm cache).
         let mut engine = IncrementalEngine::new(program.clone());
         engine.apply(&a).expect("toggle edit applies");
         let mut flip = false;

@@ -98,9 +98,12 @@ enum Verdict {
 /// (see the module docs) — so answers assembled from any mix of memoized
 /// and freshly-demanded values stay bit-identical to the exhaustive
 /// pipeline. The memo is only valid for the exact program it was built
-/// from; after an edit the owner must discard it (`DemandMemo::new` again),
-/// which is how `modref-incr`'s `QueryEngine` invalidates it alongside its
-/// own caches.
+/// from. After an edit that changes the call or binding structure or the
+/// variable universe the owner must discard it (`DemandMemo::new` again).
+/// After an edit that changes only procedure bodies (`set-local`) the
+/// owner may instead call [`DemandMemoIn::after_body_edit`], which keeps
+/// what no body can change. `modref-incr`'s `QueryEngine` does exactly
+/// this.
 #[derive(Debug, Clone)]
 pub struct DemandMemoIn<S: EffectSet> {
     num_vars: usize,
@@ -159,6 +162,50 @@ impl<S: EffectSet> DemandMemoIn<S> {
             total: [vec![None; np], vec![None; np]],
             aliases: AliasPairsIn::empty_impl(program),
             alias_done: vec![false; np],
+        }
+    }
+
+    /// Re-targets the memo at `program`, the result of an edit that
+    /// changed only the bodies of the `touched` procedures: same sites,
+    /// same procedures, same variables (an `EditDelta` with neither
+    /// `structure_changed` nor `universe_changed`).
+    ///
+    /// A body is the input of exactly one thing here: its procedure's
+    /// flat `IMOD`/`IUSE`, which the §3.3 extension folds into every
+    /// lexical ancestor. So the call graph, its reverse, β, `LOCAL`, the
+    /// `ALIAS` relation (finalised or partial) and the flat and extended
+    /// sets of every other procedure stay. Everything downstream of the
+    /// extended sets — every `RMOD` verdict, `IMOD⁺` row, `GMOD` problem
+    /// row and total — is dropped: on the programs this serves, one
+    /// strongly connected component holds most procedures, so finer
+    /// invalidation of the fixpoints would keep little.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program` has a different number of procedures than the
+    /// snapshot the memo was built for.
+    pub fn after_body_edit(&mut self, program: &Program, touched: &[ProcId]) {
+        assert_eq!(self.flat.len(), program.num_procs(), "stale demand memo");
+        debug_assert_eq!(self.num_vars, program.num_vars(), "a body edit keeps the universe");
+        for &p in touched {
+            self.flat[p.index()] = None;
+            let mut next = Some(p);
+            while let Some(q) = next {
+                for ext in &mut self.ext {
+                    ext[q.index()] = None;
+                }
+                next = program.proc_(q).parent();
+            }
+        }
+        for verdicts in &mut self.rmod {
+            verdicts.fill(Verdict::Unknown);
+        }
+        for side in 0..2 {
+            self.plus[side].fill(None);
+            for rows in &mut self.rows[side] {
+                rows.fill(None);
+            }
+            self.total[side].fill(None);
         }
     }
 

@@ -17,8 +17,12 @@
 //! The memo-sharing/invalidation contract: in Full mode the exhaustive
 //! cache *is* the memo — queries read it directly. In Lazy mode an edit
 //! goes through the same [`Edit`] vocabulary (pure IR apply, no
-//! analysis) and discards the demand memo, exactly as an apply
-//! invalidates the incremental cache. Either way a query after an edit
+//! analysis). A structural or universe-changing edit discards the demand
+//! memo, exactly as an apply invalidates the incremental cache. A
+//! body-only edit (`set-local`) keeps what no body can change — the
+//! graphs, β, `LOCAL`, the §5 alias relation, the local effects of the
+//! untouched procedures — and drops every fixpoint value
+//! ([`DemandMemoIn::after_body_edit`]). Either way a query after an edit
 //! can never observe stale sets.
 //!
 //! Degradation mirrors the incremental engine's ladder: a lazy query cut
@@ -141,11 +145,14 @@ impl<S: EffectSet> QueryEngineIn<S> {
 
     /// Applies one edit. Full mode delegates to
     /// [`IncrementalEngine::apply_guarded`] (incremental recompute under
-    /// the guard); Lazy mode is a pure IR apply — no analysis runs — and
-    /// the demand memo is discarded, which is the lazy cache's
-    /// invalidation. A lazy apply is always [`IncrOutcome::Clean`] with
-    /// an empty delta (nothing is solved, so nothing observable changed
-    /// yet).
+    /// the guard); Lazy mode is a pure IR apply — no analysis runs — plus
+    /// the lazy cache's invalidation: an edit that changes the call or
+    /// binding structure or the variable universe discards the demand
+    /// memo, and a body-only edit re-targets it with
+    /// [`DemandMemoIn::after_body_edit`], keeping the graphs, the alias
+    /// relation and the untouched local effects. A lazy apply is always
+    /// [`IncrOutcome::Clean`] with an empty delta (nothing is solved, so
+    /// nothing observable changed yet).
     ///
     /// # Errors
     ///
@@ -158,9 +165,13 @@ impl<S: EffectSet> QueryEngineIn<S> {
     ) -> Result<IncrOutcome, EditError> {
         match &mut self.state {
             State::Lazy { program, memo, .. } => {
-                let (next, _delta) = program.apply_edit(edit)?;
+                let (next, delta) = program.apply_edit(edit)?;
                 *program = next;
-                *memo = DemandMemoIn::new(program);
+                if delta.structure_changed || delta.universe_changed {
+                    *memo = DemandMemoIn::new(program);
+                } else {
+                    memo.after_body_edit(program, &delta.touched_procs);
+                }
                 Ok(IncrOutcome::Clean(IncrDelta::default()))
             }
             State::Full(engine) => engine.apply_guarded(edit, guard),

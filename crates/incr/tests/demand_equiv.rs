@@ -20,9 +20,10 @@
 
 use modref_check::prelude::*;
 use modref_check::runner::CaseResult;
-use modref_core::{Analyzer, FaultPlan, Guard};
-use modref_incr::{EditGen, QueryEngine};
-use modref_ir::{Expr, Program, ProgramBuilder};
+use modref_bitset::OpCounter;
+use modref_core::{Analyzer, Budget, FaultPlan, Guard, ProcAnswer, SiteAnswer};
+use modref_incr::{Edit, EditGen, QueryEngine};
+use modref_ir::{Expr, Program, ProgramBuilder, VarId};
 use modref_progen::{generate, GenConfig};
 
 /// Every guard checkpoint the demand walk can trip on (see
@@ -318,6 +319,200 @@ property! {
             other => return other,
         }
     }
+}
+
+/// Every site and procedure answer of `lazy`, in program order, with the
+/// operations each charged.
+fn answer_all(lazy: &mut QueryEngine) -> (Vec<SiteAnswer>, Vec<ProcAnswer>, OpCounter) {
+    let guard = Guard::unlimited();
+    let program = lazy.program().clone();
+    let mut ops = OpCounter::new();
+    let mut sites = Vec::new();
+    for s in program.sites() {
+        let out = lazy.site_answer(s, &guard);
+        assert!(out.degraded.is_none(), "unlimited query degraded");
+        ops += out.ops;
+        sites.push(out.answer);
+    }
+    let mut procs = Vec::new();
+    for p in program.procs() {
+        let out = lazy.proc_answer(p, &guard);
+        assert!(out.degraded.is_none(), "unlimited query degraded");
+        ops += out.ops;
+        procs.push(out.answer);
+    }
+    (sites, procs, ops)
+}
+
+/// Warm lazy sessions through an edit stream. After a body-only edit the
+/// kept memo must answer exactly as a fresh memo and as scratch, and may
+/// only have saved work; after a structural edit the memo must have been
+/// discarded, so the same queries charge exactly a fresh memo's work.
+fn run_retained_sweep(program: &Program, threads: usize, seed: u64, steps: usize) -> CaseResult {
+    let mut lazy = QueryEngine::new_lazy(program.clone());
+    let _ = answer_all(&mut lazy);
+    let mut gen = EditGen::new(seed ^ 0x4e7a_1bed_u64);
+    for step in 0..steps {
+        let edit = gen.next_edit(lazy.program());
+        let body_only = matches!(edit, Edit::SetLocalEffects { .. });
+        if lazy.apply_guarded(&edit, &Guard::unlimited()).is_err() {
+            continue;
+        }
+        let program = lazy.program().clone();
+        let (kept_sites, kept_procs, kept_ops) = answer_all(&mut lazy);
+        let (fresh_sites, fresh_procs, fresh_ops) =
+            answer_all(&mut QueryEngine::new_lazy(program.clone()));
+        prop_assert!(
+            kept_sites == fresh_sites && kept_procs == fresh_procs,
+            "kept and fresh memos answer differently after {} at step {} (seed {})",
+            edit.kind(),
+            step,
+            seed
+        );
+        let scratch = Analyzer::new().threads(threads).analyze(&program);
+        for (s, answer) in program.sites().zip(&kept_sites) {
+            prop_assert!(
+                &answer.mods == scratch.mod_site(s)
+                    && &answer.uses == scratch.use_site(s)
+                    && &answer.dmod == scratch.dmod_site(s)
+                    && &answer.duse == scratch.duse_site(s),
+                "site {} differs from scratch at step {} / {} threads (seed {})",
+                s,
+                step,
+                threads,
+                seed
+            );
+        }
+        for (p, answer) in program.procs().zip(&kept_procs) {
+            prop_assert!(
+                &answer.gmod == scratch.gmod(p) && &answer.guse == scratch.guse(p),
+                "procedure {} differs from scratch at step {} (seed {})",
+                p,
+                step,
+                seed
+            );
+        }
+        if body_only {
+            prop_assert!(
+                kept_ops.bitvec_steps <= fresh_ops.bitvec_steps
+                    && kept_ops.bool_steps <= fresh_ops.bool_steps
+                    && kept_ops.nodes_visited <= fresh_ops.nodes_visited
+                    && kept_ops.edges_visited <= fresh_ops.edges_visited,
+                "a kept memo worked more than a fresh one at step {} (seed {}): {:?} vs {:?}",
+                step,
+                seed,
+                kept_ops,
+                fresh_ops
+            );
+            // The alias closures are kept, so no site query re-walks one.
+            prop_assert!(
+                program.num_sites() == 0 || kept_ops.nodes_visited < fresh_ops.nodes_visited,
+                "a kept memo saved nothing at step {} (seed {})",
+                step,
+                seed
+            );
+        } else {
+            prop_assert_eq!(
+                kept_ops,
+                fresh_ops,
+                "a structural edit kept memo state at step {} (seed {})",
+                step,
+                seed
+            );
+        }
+    }
+    CaseResult::Pass
+}
+
+property! {
+    #![cases = 16]
+
+    fn kept_memo_matches_fresh_memo_and_scratch_flat(
+        seed in any_u64(),
+        n in ints(2..16usize),
+        steps in ints(1..10usize),
+    ) {
+        let program = generate(&GenConfig::fortran_like(n), seed);
+        for &threads in &[1usize, 4] {
+            match run_retained_sweep(&program, threads, seed, steps) {
+                CaseResult::Pass => {}
+                other => return other,
+            }
+        }
+    }
+
+    fn kept_memo_matches_fresh_memo_and_scratch_pascal(
+        seed in any_u64(),
+        n in ints(4..20usize),
+        depth in ints(2..5u32),
+        steps in ints(1..10usize),
+    ) {
+        let program = generate(&GenConfig::pascal_like(n, depth), seed);
+        for &threads in &[1usize, 4] {
+            match run_retained_sweep(&program, threads, seed, steps) {
+                CaseResult::Pass => {}
+                other => return other,
+            }
+        }
+    }
+}
+
+/// A lazy site query cut short inside its alias closure leaves partial
+/// pairs in the memo. A body-only edit keeps them (no body feeds §5), and
+/// the same query afterwards must resume from them to the exact answer
+/// of the edited program.
+#[test]
+fn alias_trip_then_body_edit_then_same_query_is_exact() {
+    let program = generate(&GenConfig::pascal_like(80, 4), 3);
+    let counting = || Guard::new(&Budget::unlimited().with_bool_steps(u64::MAX / 2));
+    let mut tested = 0;
+    for site in program.sites().collect::<Vec<_>>().into_iter().rev() {
+        // The boolean steps charged up to the alias checkpoint, and in all.
+        let at_checkpoint = counting().with_faults(FaultPlan::new().exhaust_at("query.alias"));
+        let _ = QueryEngine::new_lazy(program.clone()).site_answer(site, &at_checkpoint);
+        let before = at_checkpoint.charged().1;
+        let full = counting();
+        let _ = QueryEngine::new_lazy(program.clone()).site_answer(site, &full);
+        let total = full.charged().1;
+        if total < before + 256 {
+            continue;
+        }
+
+        let mut lazy = QueryEngine::new_lazy(program.clone());
+        let cap = Guard::new(&Budget::unlimited().with_bool_steps(before + (total - before) / 2));
+        let out = lazy.site_answer(site, &cap);
+        let charged = cap.charged().1;
+        assert!(before < charged && charged < total, "{site}: tripped outside: {charged}");
+        assert!(out.degraded.is_some(), "{site}: a cap inside the closure must degrade");
+
+        // Rewrite the callee's body to write every scalar it can see.
+        let callee = program.site(site).callee();
+        let mods: Vec<VarId> = program
+            .visible_set(callee)
+            .iter()
+            .map(VarId::new)
+            .filter(|&v| program.var(v).rank() == 0)
+            .collect();
+        let edit = Edit::SetLocalEffects {
+            proc_: callee,
+            mods,
+            uses: vec![],
+        };
+        lazy.apply_guarded(&edit, &Guard::unlimited()).expect("valid edit");
+        let edited = lazy.program().clone();
+        let scratch = Analyzer::new().analyze(&edited);
+        let calm = lazy.site_answer(site, &Guard::unlimited());
+        assert!(calm.degraded.is_none(), "{site}: must recover");
+        assert_eq!(&calm.answer.mods, scratch.mod_site(site), "{site}: exact MOD");
+        assert_eq!(&calm.answer.uses, scratch.use_site(site), "{site}: exact USE");
+        assert_eq!(&calm.answer.dmod, scratch.dmod_site(site), "{site}: exact DMOD");
+        assert_eq!(&calm.answer.duse, scratch.duse_site(site), "{site}: exact DUSE");
+        tested += 1;
+        if tested == 3 {
+            break;
+        }
+    }
+    assert_eq!(tested, 3, "too few sites with a large alias closure");
 }
 
 /// A program whose single "hot" site query walks through *every* demand

@@ -1,5 +1,7 @@
 //! Programmatic construction of [`Program`]s.
 
+use std::sync::Arc;
+
 use crate::error::ValidationError;
 use crate::ids::{CallSiteId, ProcId, VarId};
 use crate::program::{CallSite, Procedure, Program, VarInfo, VarKind};
@@ -275,7 +277,7 @@ impl ProgramBuilder {
         self.sites.push(CallSite {
             caller,
             callee,
-            args,
+            args: args.into(),
         });
         Stmt::Call { site }
     }
@@ -298,9 +300,9 @@ impl ProgramBuilder {
     /// Any [`ValidationError`] detected by [`Program::validate`].
     pub fn finish(&self) -> Result<Program, ValidationError> {
         let program = Program {
-            symbols: self.symbols.clone(),
-            vars: self.vars.clone(),
-            procs: self.procs.clone(),
+            symbols: Arc::new(self.symbols.clone()),
+            vars: Arc::new(self.vars.clone()),
+            procs: self.procs.iter().cloned().map(Arc::new).collect(),
             sites: self.sites.clone(),
         };
         program.validate()?;

@@ -9,9 +9,26 @@
 //! what moved — which procedures' local effects changed, whether the call
 //! or binding structure changed, and how every id is renumbered.
 //!
-//! Edits are applied functionally ([`Program::apply_edit`] clones); the
-//! result is re-validated with the same [`Program::validate`] the builders
-//! use, so no edit can produce a program the analyses would misread.
+//! Edits are applied functionally: [`Program::apply_edit`] leaves its
+//! receiver as it was and returns a new program that shares, through
+//! [`Arc`]s, every procedure, site, the variable table and the interner
+//! that the edit did not change. An edit therefore costs what it touches:
+//! a `set-local` copies one procedure, an `add-call` one procedure and
+//! one site.
+//!
+//! The result is re-checked with the checks [`Program::validate`] runs,
+//! restricted to what the edit touched. The input program is valid, so
+//! the untouched parts still pass, and the restricted check returns
+//! exactly the error a full validation would:
+//!
+//! | edit | re-checked |
+//! | --- | --- |
+//! | `set-local` | the body of the procedure |
+//! | `add-call` | the caller's body and the new site |
+//! | `rebind` | the site |
+//! | `remove-call` | the rewritten bodies (callers of the removed site and of the sites above it) |
+//! | `add-proc` | everything (a rare edit whose new parts are valid by construction) |
+//! | `remove-proc` | everything: it renumbers the whole program |
 //!
 //! Id stability rules, which the delta's remap tables make explicit:
 //!
@@ -25,11 +42,16 @@
 //!   and the ids of every variable declared later than the removed
 //!   procedure's variables.
 
+use std::sync::Arc;
+
 use crate::error::ValidationError;
 use crate::ids::{CallSiteId, ProcId, VarId};
 use crate::program::{CallSite, Procedure, Program, VarInfo, VarKind};
 use crate::stmt::{Actual, Expr, Ref, Stmt, Subscript};
+use crate::symbol::{Interner, Symbol};
 use crate::visit::walk_stmts;
+
+mod oracle;
 
 /// One program edit.
 ///
@@ -192,7 +214,7 @@ impl From<ValidationError> for EditError {
 /// The remap tables translate *old* ids to *new* ids; `None` marks a
 /// removed id. For edits that renumber nothing they are identities, so a
 /// consumer can always remap unconditionally.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EditDelta {
     /// The edit's [`Edit::kind`].
     pub kind: &'static str,
@@ -234,7 +256,10 @@ impl EditDelta {
 impl Program {
     /// Applies `edit`, returning the edited program and its delta.
     ///
-    /// The receiver is untouched; the result has been revalidated.
+    /// The receiver is untouched. The result shares every part the edit
+    /// did not change with the receiver, and the parts it did change have
+    /// been re-checked with [`Program::validate`]'s own per-part checks
+    /// (see the module docs for which parts each edit re-checks).
     ///
     /// # Errors
     ///
@@ -279,14 +304,10 @@ impl Program {
         Ok(())
     }
 
-    fn edit_set_local_effects(
-        &self,
-        p: ProcId,
-        mods: &[VarId],
-        uses: &[VarId],
-    ) -> Result<(Program, EditDelta), EditError> {
-        self.check_proc(p)?;
-        let mut out = self.clone();
+    /// The body [`Edit::SetLocalEffects`] gives `p`: one write per
+    /// `mods` variable, one read per `uses` variable, then `p`'s call
+    /// statements in source order (the call structure has its own edits).
+    fn local_effects_body(&self, p: ProcId, mods: &[VarId], uses: &[VarId]) -> Vec<Stmt> {
         let mut body: Vec<Stmt> = Vec::with_capacity(mods.len() + uses.len());
         for &v in mods {
             body.push(Stmt::Assign {
@@ -299,15 +320,26 @@ impl Program {
                 value: Expr::Load(Ref::scalar(v)),
             });
         }
-        // Calls survive the rewrite, in source order: the call structure
-        // has its own edits.
         walk_stmts(&self.procs[p.index()].body, &mut |s| {
             if let Stmt::Call { site } = s {
                 body.push(Stmt::Call { site: *site });
             }
         });
-        out.procs[p.index()].body = body;
-        out.validate()?;
+        body
+    }
+
+    fn edit_set_local_effects(
+        &self,
+        p: ProcId,
+        mods: &[VarId],
+        uses: &[VarId],
+    ) -> Result<(Program, EditDelta), EditError> {
+        self.check_proc(p)?;
+        let body = self.local_effects_body(p, mods, uses);
+        let mut out = self.clone();
+        out.procs[p.index()] = Arc::new(self.procs[p.index()].with_body(body));
+        // Only p's body moved, and it keeps p's call statements.
+        out.validate_body(p)?;
         let mut delta = EditDelta::identity(self, "set-local");
         delta.touched_procs.push(p);
         Ok((out, delta))
@@ -326,10 +358,13 @@ impl Program {
         out.sites.push(CallSite {
             caller,
             callee,
-            args: args.to_vec(),
+            args: args.into(),
         });
-        out.procs[caller.index()].body.push(Stmt::Call { site });
-        out.validate()?;
+        Arc::make_mut(&mut out.procs[caller.index()])
+            .body
+            .push(Stmt::Call { site });
+        out.validate_body(caller)?;
+        out.validate_site(site)?;
         let mut delta = EditDelta::identity(self, "add-call");
         delta.touched_procs.push(caller);
         delta.structure_changed = true;
@@ -341,11 +376,22 @@ impl Program {
         let caller = self.sites[s.index()].caller;
         let mut out = self.clone();
         out.sites.remove(s.index());
-        // Drop the call statement and shift the ids above the hole.
-        for proc_ in &mut out.procs {
-            proc_.body = strip_and_shift_site(std::mem::take(&mut proc_.body), s);
+        // Drop the call statement and shift the ids above the hole. The
+        // statement of site k sits in the body of k's caller, so only the
+        // callers of sites at or above `s` are rewritten.
+        let mut rewritten: Vec<ProcId> = self.sites[s.index()..]
+            .iter()
+            .map(|site| site.caller)
+            .collect();
+        rewritten.sort_unstable();
+        rewritten.dedup();
+        for &q in &rewritten {
+            let old = &self.procs[q.index()];
+            out.procs[q.index()] = Arc::new(old.with_body(strip_and_shift_site(&old.body, s)));
         }
-        out.validate()?;
+        for &q in &rewritten {
+            out.validate_body(q)?;
+        }
         let mut delta = EditDelta::identity(self, "remove-call");
         delta.touched_procs.push(caller);
         delta.structure_changed = true;
@@ -372,8 +418,8 @@ impl Program {
         let mut formal_ids = Vec::with_capacity(formals.len());
         for (position, fname) in formals.iter().enumerate() {
             let v = VarId::new(out.vars.len());
-            let sym = out.symbols.intern(fname);
-            out.vars.push(VarInfo {
+            let sym = intern_shared(&mut out.symbols, fname);
+            Arc::make_mut(&mut out.vars).push(VarInfo {
                 name: sym,
                 owner: Some(p),
                 kind: VarKind::Formal { position },
@@ -381,9 +427,11 @@ impl Program {
             });
             formal_ids.push(v);
         }
-        let name_sym = out.symbols.intern(name);
-        out.procs[parent.index()].children.push(p);
-        out.procs.push(Procedure {
+        let name_sym = intern_shared(&mut out.symbols, name);
+        Arc::make_mut(&mut out.procs[parent.index()])
+            .children
+            .push(p);
+        out.procs.push(Arc::new(Procedure {
             name: name_sym,
             formals: formal_ids,
             locals: Vec::new(),
@@ -391,7 +439,7 @@ impl Program {
             level,
             children: Vec::new(),
             body: Vec::new(),
-        });
+        }));
         out.validate()?;
         let mut delta = EditDelta::identity(self, "add-proc");
         // The new procedure's (empty) body is "touched", and so is the
@@ -405,6 +453,16 @@ impl Program {
     }
 
     fn edit_remove_procedure(&self, p: ProcId) -> Result<(Program, EditDelta), EditError> {
+        let (out, delta) = self.remove_procedure_unchecked(p)?;
+        // Everything is renumbered, so everything is re-checked.
+        out.validate()?;
+        Ok((out, delta))
+    }
+
+    /// The program without `p` and its delta, not yet validated: the
+    /// edit's own preconditions are checked, the result's invariants are
+    /// not.
+    fn remove_procedure_unchecked(&self, p: ProcId) -> Result<(Program, EditDelta), EditError> {
         self.check_proc(p)?;
         if p == ProcId::MAIN {
             return Err(EditError::RemoveMain);
@@ -430,7 +488,7 @@ impl Program {
             .collect();
         let mut var_map: Vec<Option<VarId>> = Vec::with_capacity(self.num_vars());
         let mut next = 0usize;
-        for info in &self.vars {
+        for info in self.vars.iter() {
             if info.owner == Some(p) {
                 var_map.push(None);
             } else {
@@ -452,24 +510,26 @@ impl Program {
                 rank: info.rank,
             })
             .collect();
-        let procs: Vec<Procedure> = self
+        let procs: Vec<Arc<Procedure>> = self
             .procs
             .iter()
             .enumerate()
             .filter(|&(i, _)| i != p.index())
-            .map(|(_, proc_)| Procedure {
-                name: proc_.name,
-                formals: proc_.formals.iter().map(|&v| map_var(v)).collect(),
-                locals: proc_.locals.iter().map(|&v| map_var(v)).collect(),
-                parent: proc_.parent.map(map_proc),
-                level: proc_.level,
-                children: proc_
-                    .children
-                    .iter()
-                    .filter(|&&c| c != p)
-                    .map(|&c| map_proc(c))
-                    .collect(),
-                body: map_vars_in_stmts(&proc_.body, &map_var),
+            .map(|(_, proc_)| {
+                Arc::new(Procedure {
+                    name: proc_.name,
+                    formals: proc_.formals.iter().map(|&v| map_var(v)).collect(),
+                    locals: proc_.locals.iter().map(|&v| map_var(v)).collect(),
+                    parent: proc_.parent.map(map_proc),
+                    level: proc_.level,
+                    children: proc_
+                        .children
+                        .iter()
+                        .filter(|&&c| c != p)
+                        .map(|&c| map_proc(c))
+                        .collect(),
+                    body: map_vars_in_stmts(&proc_.body, &map_var),
+                })
             })
             .collect();
         let sites: Vec<CallSite> = self
@@ -483,12 +543,11 @@ impl Program {
             .collect();
 
         let out = Program {
-            symbols: self.symbols.clone(),
-            vars,
+            symbols: Arc::clone(&self.symbols),
+            vars: Arc::new(vars),
             procs,
             sites,
         };
-        out.validate()?;
         let parent_new = self.procs[p.index()]
             .parent
             .map(|q| proc_map[q.index()].expect("an ancestor survives removal"));
@@ -524,8 +583,10 @@ impl Program {
             });
         }
         let mut out = self.clone();
-        out.sites[s.index()].args[position] = actual.clone();
-        out.validate()?;
+        let mut args = self.sites[s.index()].args.to_vec();
+        args[position] = actual.clone();
+        out.sites[s.index()].args = args.into();
+        out.validate_site(s)?;
         let mut delta = EditDelta::identity(self, "rebind");
         delta.touched_procs.push(self.sites[s.index()].caller);
         delta.structure_changed = true;
@@ -533,15 +594,24 @@ impl Program {
     }
 }
 
+/// Interns `text` into a shared interner, copying the interner only if
+/// the text is new to it.
+fn intern_shared(symbols: &mut Arc<Interner>, text: &str) -> Symbol {
+    match symbols.get(text) {
+        Some(sym) => sym,
+        None => Arc::make_mut(symbols).intern(text),
+    }
+}
+
 /// Removes the (unique) call statement for `removed` and decrements every
 /// site id above it. Recursion depth equals the statement nesting depth.
-fn strip_and_shift_site(stmts: Vec<Stmt>, removed: CallSiteId) -> Vec<Stmt> {
+fn strip_and_shift_site(stmts: &[Stmt], removed: CallSiteId) -> Vec<Stmt> {
     stmts
-        .into_iter()
+        .iter()
         .filter_map(|s| match s {
             Stmt::Call { site } => match site.cmp(&removed) {
                 std::cmp::Ordering::Equal => None,
-                std::cmp::Ordering::Less => Some(Stmt::Call { site }),
+                std::cmp::Ordering::Less => Some(Stmt::Call { site: *site }),
                 std::cmp::Ordering::Greater => Some(Stmt::Call {
                     site: CallSiteId::new(site.index() - 1),
                 }),
@@ -551,15 +621,15 @@ fn strip_and_shift_site(stmts: Vec<Stmt>, removed: CallSiteId) -> Vec<Stmt> {
                 then_branch,
                 else_branch,
             } => Some(Stmt::If {
-                cond,
+                cond: cond.clone(),
                 then_branch: strip_and_shift_site(then_branch, removed),
                 else_branch: strip_and_shift_site(else_branch, removed),
             }),
             Stmt::While { cond, body } => Some(Stmt::While {
-                cond,
+                cond: cond.clone(),
                 body: strip_and_shift_site(body, removed),
             }),
-            other => Some(other),
+            other => Some(other.clone()),
         })
         .collect()
 }
@@ -846,6 +916,147 @@ mod tests {
             }),
             Err(EditError::UnknownProc(p)) if p == ProcId::new(99)
         ));
+    }
+
+    /// A program with untouched neighbours on every side of each edit:
+    /// three procedures with formals, five sites in three callers.
+    fn wider() -> Program {
+        let mut b = ProgramBuilder::new();
+        let g = b.global("g");
+        let h = b.global("h");
+        let p = b.proc_("p", &["x"]);
+        b.assign(p, b.formal(p, 0), Expr::load(g));
+        let q = b.proc_("q", &["y", "z"]);
+        b.call(q, p, &[b.formal(q, 1)]);
+        let r = b.proc_("r", &[]);
+        b.call(r, q, &[g, h]);
+        b.call(r, p, &[h]);
+        let main = b.main();
+        b.call(main, p, &[g]);
+        b.call(main, r, &[]);
+        b.finish().expect("valid")
+    }
+
+    /// Every procedure not in `touched` and every site not in
+    /// `touched_sites` (which must also list the sites whose id shifted)
+    /// is the same allocation in both programs, and so are the interner
+    /// and the variable table.
+    fn assert_shares(
+        old: &Program,
+        new: &Program,
+        touched: &[ProcId],
+        touched_sites: &[CallSiteId],
+        kind: &str,
+    ) {
+        assert!(
+            Arc::ptr_eq(&old.symbols, &new.symbols),
+            "{kind}: interner copied"
+        );
+        assert!(
+            Arc::ptr_eq(&old.vars, &new.vars),
+            "{kind}: variable table copied"
+        );
+        for p in old.procs() {
+            let shared = Arc::ptr_eq(&old.procs[p.index()], &new.procs[p.index()]);
+            assert_eq!(shared, !touched.contains(&p), "{kind}: sharing of {p}");
+        }
+        for s in old.sites() {
+            if touched_sites.contains(&s) || s.index() >= new.num_sites() {
+                continue;
+            }
+            assert!(
+                Arc::ptr_eq(&old.sites[s.index()].args, &new.sites[s.index()].args),
+                "{kind}: site {s} copied"
+            );
+        }
+    }
+
+    #[test]
+    fn edits_share_every_part_they_do_not_touch() {
+        let program = wider();
+        let (g, h) = (VarId::new(0), VarId::new(1));
+        let p = ProcId::new(1);
+        let r = ProcId::new(3);
+
+        let (edited, delta) = program
+            .apply_edit(&Edit::SetLocalEffects {
+                proc_: p,
+                mods: vec![h],
+                uses: vec![g],
+            })
+            .expect("valid edit");
+        assert_shares(&program, &edited, &[p], &[], "set-local");
+        assert!(!delta.universe_changed);
+
+        let (edited, _) = program
+            .apply_edit(&Edit::AddCallSite {
+                caller: r,
+                callee: p,
+                args: vec![Actual::Ref(Ref::scalar(g))],
+            })
+            .expect("valid edit");
+        assert_shares(&program, &edited, &[r], &[], "add-call");
+
+        let last = CallSiteId::new(program.num_sites() - 1);
+        let (edited, _) = program
+            .apply_edit(&Edit::RemoveCallSite { site: last })
+            .expect("valid edit");
+        assert_shares(&program, &edited, &[ProcId::MAIN], &[last], "remove-call");
+
+        let rebound = CallSiteId::new(1);
+        let (edited, _) = program
+            .apply_edit(&Edit::RebindActual {
+                site: rebound,
+                position: 1,
+                actual: Actual::Ref(Ref::scalar(g)),
+            })
+            .expect("valid edit");
+        assert_shares(&program, &edited, &[], &[rebound], "rebind");
+        assert!(!Arc::ptr_eq(
+            &program.sites[rebound.index()].args,
+            &edited.sites[rebound.index()].args
+        ));
+
+        // Every shared result is also exactly what the deep-copy path
+        // builds.
+        for edit in [
+            Edit::SetLocalEffects {
+                proc_: p,
+                mods: vec![h],
+                uses: vec![g],
+            },
+            Edit::RemoveCallSite { site: last },
+            Edit::RemoveCallSite {
+                site: CallSiteId::new(0),
+            },
+        ] {
+            let (fast, fast_delta) = program.apply_edit(&edit).expect("valid edit");
+            let (deep, deep_delta) = program.apply_edit_deep(&edit).expect("valid edit");
+            assert_eq!(fast_delta, deep_delta);
+            assert_eq!(fast.procs, deep.procs);
+            assert_eq!(fast.sites, deep.sites);
+            assert_eq!(fast.vars, deep.vars);
+        }
+    }
+
+    #[test]
+    fn remove_call_rewrites_only_callers_at_or_above_the_hole() {
+        let program = wider();
+        // Sites 0 (q), 1 (r), 2 (r), 3 (main), 4 (main): removing site 2
+        // rewrites r (its caller) and main (sites 3 and 4 shift); p and q
+        // keep their bodies.
+        let (edited, _) = program
+            .apply_edit(&Edit::RemoveCallSite {
+                site: CallSiteId::new(2),
+            })
+            .expect("valid edit");
+        assert_shares(
+            &program,
+            &edited,
+            &[ProcId::MAIN, ProcId::new(3)],
+            &[CallSiteId::new(2), CallSiteId::new(3), CallSiteId::new(4)],
+            "remove-call",
+        );
     }
 
     #[test]

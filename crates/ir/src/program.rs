@@ -1,5 +1,7 @@
 //! The validated [`Program`] and its component tables.
 
+use std::sync::Arc;
+
 use modref_bitset::BitSet;
 
 use crate::error::ValidationError;
@@ -111,6 +113,20 @@ impl Procedure {
     pub fn body(&self) -> &[Stmt] {
         &self.body
     }
+
+    /// A copy of this procedure with `body` in place of its statements
+    /// (the old body is not copied).
+    pub(crate) fn with_body(&self, body: Vec<Stmt>) -> Procedure {
+        Procedure {
+            name: self.name,
+            formals: self.formals.clone(),
+            locals: self.locals.clone(),
+            parent: self.parent,
+            level: self.level,
+            children: self.children.clone(),
+            body,
+        }
+    }
 }
 
 /// One call site: a single textual `call` statement.
@@ -118,7 +134,7 @@ impl Procedure {
 pub struct CallSite {
     pub(crate) caller: ProcId,
     pub(crate) callee: ProcId,
-    pub(crate) args: Vec<Actual>,
+    pub(crate) args: Arc<[Actual]>,
 }
 
 impl CallSite {
@@ -146,11 +162,18 @@ impl CallSite {
 /// The variable table is program-wide: globals, locals, and formals of all
 /// procedures share the dense [`VarId`] space, mirroring the paper's "bit
 /// vectors for interprocedural analysis will be exceedingly long" universe.
+///
+/// The parts sit behind [`Arc`]s: every procedure, every site's actuals,
+/// the variable table and the interner. Cloning a `Program` copies two
+/// vectors of pointers, and [`Program::apply_edit`] returns a program that
+/// shares every part the edit did not touch with its input, so an edit
+/// costs what it changes rather than what the program holds. Both
+/// programs stay immutable; nothing observes the sharing.
 #[derive(Debug, Clone)]
 pub struct Program {
-    pub(crate) symbols: Interner,
-    pub(crate) vars: Vec<VarInfo>,
-    pub(crate) procs: Vec<Procedure>,
+    pub(crate) symbols: Arc<Interner>,
+    pub(crate) vars: Arc<Vec<VarInfo>>,
+    pub(crate) procs: Vec<Arc<Procedure>>,
     pub(crate) sites: Vec<CallSite>,
 }
 
@@ -357,8 +380,8 @@ impl Program {
     ) -> Result<Program, ValidationError> {
         let mut out = self.clone();
         for (i, proc_) in out.procs.iter_mut().enumerate() {
-            let p = ProcId::new(i);
-            proc_.body = f(p, &self.procs[i].body);
+            let body = f(ProcId::new(i), &self.procs[i].body);
+            *proc_ = Arc::new(self.procs[i].with_body(body));
         }
         out.validate()?;
         Ok(out)
@@ -367,6 +390,10 @@ impl Program {
     /// Checks every structural invariant; builders call this before handing
     /// a `Program` out.
     ///
+    /// Runs in time linear in the program (times the nesting depth for
+    /// scope lookups). Body and site edits re-run only the per-body and
+    /// per-site checks this function runs, on what they touched.
+    ///
     /// # Errors
     ///
     /// Returns the first violated invariant: dangling ids, ownership
@@ -374,109 +401,165 @@ impl Program {
     /// invisible procedure or to main, subscript/rank mismatches, or a
     /// malformed nesting tree.
     pub fn validate(&self) -> Result<(), ValidationError> {
-        self.validate_vars()?;
-        self.validate_nesting()?;
+        let listed = self.listed_locals();
+        for v in self.vars() {
+            self.validate_var(v, listed[v.index()])?;
+        }
+        for p in self.procs() {
+            self.validate_decls(p)?;
+        }
+        self.validate_main()?;
+        let listed = self.listed_children();
+        for p in self.procs() {
+            self.validate_nest(p, listed[p.index()])?;
+        }
         for p in self.procs() {
             self.validate_body(p)?;
         }
-        self.validate_sites()?;
+        self.validate_site_statements()?;
+        for s in self.sites() {
+            self.validate_site(s)?;
+        }
         Ok(())
     }
 
-    fn validate_vars(&self) -> Result<(), ValidationError> {
-        for (i, info) in self.vars.iter().enumerate() {
-            let v = VarId::new(i);
-            match (info.owner, info.kind) {
-                (None, VarKind::Global) => {}
-                (None, _) => return Err(ValidationError::OwnerlessNonGlobal { var: v }),
-                (Some(_), VarKind::Global) => return Err(ValidationError::OwnedGlobal { var: v }),
-                (Some(p), VarKind::Local) => {
-                    let proc_ = self
-                        .procs
-                        .get(p.index())
-                        .ok_or(ValidationError::DanglingProc { proc_: p })?;
-                    if !proc_.locals.contains(&v) {
-                        return Err(ValidationError::OwnershipMismatch { var: v, proc_: p });
-                    }
-                }
-                (Some(p), VarKind::Formal { position }) => {
-                    let proc_ = self
-                        .procs
-                        .get(p.index())
-                        .ok_or(ValidationError::DanglingProc { proc_: p })?;
-                    if proc_.formals.get(position) != Some(&v) {
-                        return Err(ValidationError::OwnershipMismatch { var: v, proc_: p });
-                    }
-                }
-            }
-        }
+    /// For every variable, whether its owner's `locals` list names it —
+    /// one pass over all `locals` lists instead of a search per variable.
+    fn listed_locals(&self) -> Vec<bool> {
+        let mut listed = vec![false; self.vars.len()];
         for (i, proc_) in self.procs.iter().enumerate() {
-            let p = ProcId::new(i);
-            for (pos, &f) in proc_.formals.iter().enumerate() {
-                let info = self
-                    .vars
-                    .get(f.index())
-                    .ok_or(ValidationError::DanglingVar { var: f })?;
-                if info.owner != Some(p) || info.kind != (VarKind::Formal { position: pos }) {
-                    return Err(ValidationError::OwnershipMismatch { var: f, proc_: p });
-                }
-            }
             for &l in &proc_.locals {
-                let info = self
+                if self
                     .vars
                     .get(l.index())
-                    .ok_or(ValidationError::DanglingVar { var: l })?;
-                if info.owner != Some(p) || info.kind != VarKind::Local {
-                    return Err(ValidationError::OwnershipMismatch { var: l, proc_: p });
+                    .is_some_and(|info| info.owner == Some(ProcId::new(i)))
+                {
+                    listed[l.index()] = true;
+                }
+            }
+        }
+        listed
+    }
+
+    /// For every procedure, how many times its parent's `children` list
+    /// names it — one pass over all `children` lists.
+    fn listed_children(&self) -> Vec<usize> {
+        let mut listed = vec![0usize; self.procs.len()];
+        for (i, proc_) in self.procs.iter().enumerate() {
+            for &c in &proc_.children {
+                if self
+                    .procs
+                    .get(c.index())
+                    .is_some_and(|cp| cp.parent == Some(ProcId::new(i)))
+                {
+                    listed[c.index()] += 1;
+                }
+            }
+        }
+        listed
+    }
+
+    /// One variable's ownership: globals are ownerless, locals are named
+    /// in their owner's `locals` (`listed_local`), formals sit at their
+    /// position in their owner's `formals`.
+    fn validate_var(&self, v: VarId, listed_local: bool) -> Result<(), ValidationError> {
+        let info = &self.vars[v.index()];
+        match (info.owner, info.kind) {
+            (None, VarKind::Global) => {}
+            (None, _) => return Err(ValidationError::OwnerlessNonGlobal { var: v }),
+            (Some(_), VarKind::Global) => return Err(ValidationError::OwnedGlobal { var: v }),
+            (Some(p), VarKind::Local) => {
+                self.procs
+                    .get(p.index())
+                    .ok_or(ValidationError::DanglingProc { proc_: p })?;
+                if !listed_local {
+                    return Err(ValidationError::OwnershipMismatch { var: v, proc_: p });
+                }
+            }
+            (Some(p), VarKind::Formal { position }) => {
+                let proc_ = self
+                    .procs
+                    .get(p.index())
+                    .ok_or(ValidationError::DanglingProc { proc_: p })?;
+                if proc_.formals.get(position) != Some(&v) {
+                    return Err(ValidationError::OwnershipMismatch { var: v, proc_: p });
                 }
             }
         }
         Ok(())
     }
 
-    fn validate_nesting(&self) -> Result<(), ValidationError> {
-        if self.procs.is_empty() {
-            return Err(ValidationError::NoMain);
+    /// One procedure's declarations: every formal and local it lists is
+    /// a variable it owns, of the right kind.
+    fn validate_decls(&self, p: ProcId) -> Result<(), ValidationError> {
+        let proc_ = &self.procs[p.index()];
+        for (pos, &f) in proc_.formals.iter().enumerate() {
+            let info = self
+                .vars
+                .get(f.index())
+                .ok_or(ValidationError::DanglingVar { var: f })?;
+            if info.owner != Some(p) || info.kind != (VarKind::Formal { position: pos }) {
+                return Err(ValidationError::OwnershipMismatch { var: f, proc_: p });
+            }
         }
-        let main = &self.procs[ProcId::MAIN.index()];
+        for &l in &proc_.locals {
+            let info = self
+                .vars
+                .get(l.index())
+                .ok_or(ValidationError::DanglingVar { var: l })?;
+            if info.owner != Some(p) || info.kind != VarKind::Local {
+                return Err(ValidationError::OwnershipMismatch { var: l, proc_: p });
+            }
+        }
+        Ok(())
+    }
+
+    fn validate_main(&self) -> Result<(), ValidationError> {
+        let main = self
+            .procs
+            .get(ProcId::MAIN.index())
+            .ok_or(ValidationError::NoMain)?;
         if main.parent.is_some() || main.level != 0 {
             return Err(ValidationError::BadMain);
         }
-        for (i, proc_) in self.procs.iter().enumerate() {
-            let p = ProcId::new(i);
-            match proc_.parent {
-                None => {
-                    if p != ProcId::MAIN {
-                        return Err(ValidationError::OrphanProc { proc_: p });
-                    }
-                }
-                Some(parent) => {
-                    let pp = self
-                        .procs
-                        .get(parent.index())
-                        .ok_or(ValidationError::DanglingProc { proc_: parent })?;
-                    if proc_.level != pp.level + 1 {
-                        return Err(ValidationError::BadLevel { proc_: p });
-                    }
-                    if !pp.children.contains(&p) {
-                        return Err(ValidationError::BadLevel { proc_: p });
-                    }
+        Ok(())
+    }
+
+    /// One procedure's place in the nesting tree: it has a parent unless
+    /// it is main, sits one level below it, is named exactly once in the
+    /// parent's `children` (`times_listed`), and each procedure it names
+    /// as a child names it as parent.
+    fn validate_nest(&self, p: ProcId, times_listed: usize) -> Result<(), ValidationError> {
+        let proc_ = &self.procs[p.index()];
+        match proc_.parent {
+            None => {
+                if p != ProcId::MAIN {
+                    return Err(ValidationError::OrphanProc { proc_: p });
                 }
             }
-            for &c in &proc_.children {
-                let cp = self
+            Some(parent) => {
+                let pp = self
                     .procs
-                    .get(c.index())
-                    .ok_or(ValidationError::DanglingProc { proc_: c })?;
-                if cp.parent != Some(p) {
-                    return Err(ValidationError::BadLevel { proc_: c });
+                    .get(parent.index())
+                    .ok_or(ValidationError::DanglingProc { proc_: parent })?;
+                if proc_.level != pp.level + 1 || times_listed != 1 {
+                    return Err(ValidationError::BadLevel { proc_: p });
                 }
+            }
+        }
+        for &c in &proc_.children {
+            let cp = self
+                .procs
+                .get(c.index())
+                .ok_or(ValidationError::DanglingProc { proc_: c })?;
+            if cp.parent != Some(p) {
+                return Err(ValidationError::BadLevel { proc_: c });
             }
         }
         Ok(())
     }
 
-    fn validate_ref(&self, p: ProcId, r: &Ref) -> Result<(), ValidationError> {
+    pub(crate) fn validate_ref(&self, p: ProcId, r: &Ref) -> Result<(), ValidationError> {
         let info = self
             .vars
             .get(r.var.index())
@@ -504,7 +587,7 @@ impl Program {
         Ok(())
     }
 
-    fn validate_expr(&self, p: ProcId, e: &Expr) -> Result<(), ValidationError> {
+    pub(crate) fn validate_expr(&self, p: ProcId, e: &Expr) -> Result<(), ValidationError> {
         match e {
             Expr::Const(_) => Ok(()),
             Expr::Load(r) => self.validate_ref(p, r),
@@ -516,7 +599,10 @@ impl Program {
         }
     }
 
-    fn validate_body(&self, p: ProcId) -> Result<(), ValidationError> {
+    /// One procedure's body: every reference is in scope with a matching
+    /// rank, and every call statement names an existing site of this
+    /// caller.
+    pub(crate) fn validate_body(&self, p: ProcId) -> Result<(), ValidationError> {
         let mut result = Ok(());
         walk_stmts(&self.procs[p.index()].body, &mut |s| {
             if result.is_err() {
@@ -545,9 +631,9 @@ impl Program {
         result
     }
 
-    fn validate_sites(&self) -> Result<(), ValidationError> {
-        // Each site must be referenced by exactly one Call statement of its
-        // caller.
+    /// Each site must be referenced by exactly one call statement of its
+    /// caller (with [`Program::validate_body`], which pins the caller).
+    fn validate_site_statements(&self) -> Result<(), ValidationError> {
         let mut seen = vec![0usize; self.sites.len()];
         for proc_ in &self.procs {
             walk_stmts(&proc_.body, &mut |s| {
@@ -566,31 +652,35 @@ impl Program {
                 });
             }
         }
+        Ok(())
+    }
 
-        for (i, site) in self.sites.iter().enumerate() {
-            let s = CallSiteId::new(i);
-            let callee = self
-                .procs
-                .get(site.callee.index())
-                .ok_or(ValidationError::DanglingProc { proc_: site.callee })?;
-            if site.callee == ProcId::MAIN {
-                return Err(ValidationError::CallToMain { site: s });
-            }
-            if !self.proc_visible_from(site.caller, site.callee) {
-                return Err(ValidationError::CalleeNotVisible { site: s });
-            }
-            if site.args.len() != callee.formals.len() {
-                return Err(ValidationError::ArityMismatch {
-                    site: s,
-                    expected: callee.formals.len(),
-                    found: site.args.len(),
-                });
-            }
-            for arg in &site.args {
-                match arg {
-                    Actual::Ref(r) => self.validate_ref(site.caller, r)?,
-                    Actual::Value(e) => self.validate_expr(site.caller, e)?,
-                }
+    /// One call site: the callee exists, is not main, is visible from the
+    /// caller, and takes as many formals as the site passes actuals, each
+    /// of them in scope in the caller.
+    pub(crate) fn validate_site(&self, s: CallSiteId) -> Result<(), ValidationError> {
+        let site = &self.sites[s.index()];
+        let callee = self
+            .procs
+            .get(site.callee.index())
+            .ok_or(ValidationError::DanglingProc { proc_: site.callee })?;
+        if site.callee == ProcId::MAIN {
+            return Err(ValidationError::CallToMain { site: s });
+        }
+        if !self.proc_visible_from(site.caller, site.callee) {
+            return Err(ValidationError::CalleeNotVisible { site: s });
+        }
+        if site.args.len() != callee.formals.len() {
+            return Err(ValidationError::ArityMismatch {
+                site: s,
+                expected: callee.formals.len(),
+                found: site.args.len(),
+            });
+        }
+        for arg in site.args.iter() {
+            match arg {
+                Actual::Ref(r) => self.validate_ref(site.caller, r)?,
+                Actual::Value(e) => self.validate_expr(site.caller, e)?,
             }
         }
         Ok(())
@@ -599,15 +689,12 @@ impl Program {
     /// Pascal visibility: `callee` is callable from `caller` if it is a
     /// child of `caller` or of one of `caller`'s lexical ancestors
     /// (a sibling or "uncle"), or is itself a proper ancestor of `caller`.
+    /// Follows parent links only, so it costs the nesting depth.
     pub fn proc_visible_from(&self, caller: ProcId, callee: ProcId) -> bool {
-        if self.procs[caller.index()].children.contains(&callee) {
-            return true;
+        match self.procs[callee.index()].parent {
+            Some(parent) if parent == caller || self.ancestors(caller).any(|a| a == parent) => true,
+            _ => self.ancestors(caller).any(|a| a == callee),
         }
-        if self.ancestors(caller).any(|a| a == callee) {
-            return true;
-        }
-        self.ancestors(caller)
-            .any(|a| self.procs[a.index()].children.contains(&callee))
     }
 }
 
@@ -806,6 +893,60 @@ mod tests {
             .map_bodies(|_, body| body.to_vec())
             .expect("identity is valid");
         assert_eq!(same.to_source(), program.to_source());
+    }
+
+    #[test]
+    fn nesting_tree_must_list_each_procedure_exactly_once() {
+        let mut b = ProgramBuilder::new();
+        let p = b.proc_("p", &[]);
+        let q = b.proc_("q", &[]);
+        let inner = b.nested_proc(p, "inner", &[]);
+        let program = b.finish().expect("valid");
+
+        // Missing from its parent's list.
+        let mut missing = program.clone();
+        Arc::make_mut(&mut missing.procs[p.index()])
+            .children
+            .clear();
+        assert_eq!(
+            missing.validate(),
+            Err(ValidationError::BadLevel { proc_: inner })
+        );
+
+        // Listed twice by its parent.
+        let mut twice = program.clone();
+        Arc::make_mut(&mut twice.procs[ProcId::MAIN.index()])
+            .children
+            .push(q);
+        assert_eq!(
+            twice.validate(),
+            Err(ValidationError::BadLevel { proc_: q })
+        );
+
+        // Listed by a procedure that is not its parent.
+        let mut stray = program.clone();
+        Arc::make_mut(&mut stray.procs[q.index()])
+            .children
+            .push(inner);
+        assert_eq!(
+            stray.validate(),
+            Err(ValidationError::BadLevel { proc_: inner })
+        );
+        assert_eq!(program.validate(), Ok(()));
+    }
+
+    #[test]
+    fn locals_must_be_listed_by_their_owner() {
+        let mut b = ProgramBuilder::new();
+        let p = b.proc_("p", &[]);
+        let t = b.local(p, "t");
+        let program = b.finish().expect("valid");
+        let mut unlisted = program.clone();
+        Arc::make_mut(&mut unlisted.procs[p.index()]).locals.clear();
+        assert_eq!(
+            unlisted.validate(),
+            Err(ValidationError::OwnershipMismatch { var: t, proc_: p })
+        );
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! procedure itself). Pruning therefore removes whole subtrees and never
 //! orphans a survivor.
 
+use std::sync::Arc;
+
 use crate::ids::{CallSiteId, ProcId, VarId};
 use crate::program::{CallSite, Procedure, Program, VarInfo};
 use crate::stmt::{Actual, Expr, Ref, Stmt, Subscript};
@@ -151,11 +153,11 @@ impl Program {
                 }
             })
             .collect();
-        let procs: Vec<Procedure> = kept_procs
+        let procs: Vec<Arc<Procedure>> = kept_procs
             .iter()
             .map(|&p| {
                 let proc_ = self.proc_(p);
-                Procedure {
+                Arc::new(Procedure {
                     name: proc_.name(),
                     formals: proc_.formals().iter().map(|&f| remap.var(f)).collect(),
                     locals: proc_.locals().iter().map(|&l| remap.var(l)).collect(),
@@ -168,7 +170,7 @@ impl Program {
                         .map(|&c| remap.proc(c))
                         .collect(),
                     body: proc_.body().iter().map(|s| remap.stmt(s)).collect(),
-                }
+                })
             })
             .collect();
         let sites: Vec<CallSite> = kept_sites
@@ -184,8 +186,8 @@ impl Program {
             .collect();
 
         let program = Program {
-            symbols: self.symbols.clone(),
-            vars,
+            symbols: Arc::clone(&self.symbols),
+            vars: Arc::new(vars),
             procs,
             sites,
         };
