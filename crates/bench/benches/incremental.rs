@@ -1,9 +1,10 @@
-//! E9 wall-clock: one additive edit under incremental delta propagation
+//! E9 wall-clock: one local-effect edit applied by the incremental engine
 //! vs a from-scratch re-analysis.
 
 use modref_check::BenchGroup;
-use modref_core::{Analyzer, IncrementalAnalyzer};
-use modref_ir::{Expr, Ref, Stmt};
+use modref_core::Analyzer;
+use modref_incr::{Edit, IncrementalEngine};
+use modref_ir::{LocalEffects, VarId};
 use modref_progen::{generate, GenConfig};
 
 fn main() {
@@ -18,24 +19,31 @@ fn main() {
             .vars()
             .find(|&v| program.var(v).is_global() && program.var(v).rank() == 0)
             .expect("global");
-        let stmt = Stmt::Assign {
-            target: Ref::scalar(g),
-            value: Expr::constant(1),
+        // The target's body keeps its current effects and also writes `g`.
+        let fx = LocalEffects::compute(&program);
+        let mut mods: Vec<VarId> = fx.imod_flat(target).iter().map(VarId::new).collect();
+        if !mods.contains(&g) {
+            mods.push(g);
+        }
+        let edit = Edit::SetLocalEffects {
+            proc_: target,
+            mods,
+            uses: fx.iuse_flat(target).iter().map(VarId::new).collect(),
         };
 
         group.bench_with_setup(
             "edit_incremental",
             n,
-            || IncrementalAnalyzer::new(program.clone()),
-            |mut inc| {
-                inc.add_statement(target, stmt.clone()).expect("edit applies");
-                inc
+            || IncrementalEngine::new(program.clone()),
+            |mut engine| {
+                engine.apply(&edit).expect("edit applies");
+                engine
             },
         );
         let edited = {
-            let mut inc = IncrementalAnalyzer::new(program.clone());
-            inc.add_statement(target, stmt.clone()).expect("edit applies");
-            inc.program().clone()
+            let mut engine = IncrementalEngine::new(program.clone());
+            engine.apply(&edit).expect("edit applies");
+            engine.program().clone()
         };
         group.bench("edit_full_reanalysis", n, || Analyzer::new().analyze(&edited));
     }

@@ -10,7 +10,8 @@ use modref_core::{
     AliasPairs, Analyzer,
 };
 use modref_graph::DiGraph;
-use modref_ir::{CallGraph, Expr, LocalEffects, ProcId, Program, ProgramBuilder};
+use modref_incr::{Edit, IncrementalEngine};
+use modref_ir::{CallGraph, Expr, LocalEffects, ProcId, Program, ProgramBuilder, VarId};
 use modref_progen::{generate, workloads, GenConfig};
 use modref_sections::{Section, SubscriptPos};
 
@@ -679,14 +680,15 @@ pub fn experiment_e8(scale: Scale) -> Table {
 }
 
 /// Incremental re-analysis (the programming-environment setting the
-/// paper's introduction cites): cost of one statement edit under delta
-/// propagation versus a from-scratch run.
+/// paper's introduction cites): cost of one local-effect edit applied by
+/// the incremental engine versus a from-scratch run.
 pub fn experiment_e9(scale: Scale) -> Table {
     let mut table = Table::new(
         "E9",
         "Incremental re-analysis vs from-scratch after one edit",
-        "an additive edit's cost is proportional to the affected region, \
-         not the program (monotone delta propagation on equations 4-6)",
+        "an edit's cost is proportional to the affected region, not the \
+         program (dirty-set propagation with early cutoff over the \
+         condensations of equations 4-6)",
         &[
             "procs",
             "full analyze",
@@ -716,17 +718,21 @@ pub fn experiment_e9(scale: Scale) -> Table {
                     .find(|&v| program.var(v).is_global() && program.var(v).rank() == 0)
             })
             .expect("a scalar global");
-        let stmt = modref_ir::Stmt::Assign {
-            target: modref_ir::Ref::scalar(g),
-            value: Expr::constant(1),
+        // The target's body keeps its current effects and also writes `g`.
+        let fx = base.local_effects();
+        let mut mods: Vec<VarId> = fx.imod_flat(target).iter().map(VarId::new).collect();
+        if !mods.contains(&g) {
+            mods.push(g);
+        }
+        let edit = Edit::SetLocalEffects {
+            proc_: target,
+            mods,
+            uses: fx.iuse_flat(target).iter().map(VarId::new).collect(),
         };
 
-        let mut inc = modref_core::IncrementalAnalyzer::new(program.clone());
-        let (delta, t_inc) = timed(|| {
-            inc.add_statement(target, stmt.clone())
-                .expect("edit applies")
-        });
-        let edited = inc.program().clone();
+        let mut engine = IncrementalEngine::new(program.clone());
+        let (delta, t_inc) = timed(|| engine.apply(&edit).expect("edit applies"));
+        let edited = engine.program().clone();
         let (_, t_full) = timed(|| Analyzer::new().analyze(&edited));
         table.push_row([
             edited.num_procs().to_string(),
@@ -740,8 +746,9 @@ pub fn experiment_e9(scale: Scale) -> Table {
         ]);
     }
     table.set_verdict(
-        "the incremental step touches only the procedures the edit can \
-         reach and beats from-scratch re-analysis by a growing factor",
+        "the incremental step recomputes only what the edit can reach, so \
+         it beats from-scratch re-analysis even when that is most of the \
+         program (column 5)",
     );
     table
 }

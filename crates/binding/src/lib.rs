@@ -50,7 +50,4 @@ mod multigraph;
 mod rmod;
 
 pub use multigraph::{BindingGraph, SizeReport};
-pub use rmod::{
-    solve_rmod, solve_rmod_guarded, solve_rmod_pooled, solve_rmod_traced, RmodSolution,
-    RmodSolutionIn,
-};
+pub use rmod::{solve_rmod, solve_rmod_traced, RmodSolution, RmodSolutionIn};

@@ -102,56 +102,41 @@ pub fn solve_rmod<S: EffectSet>(
     initial: &[S],
     beta: &BindingGraph,
 ) -> RmodSolutionIn<S> {
-    solve_rmod_pooled(program, initial, beta, &modref_par::ThreadPool::new(1))
-}
-
-/// [`solve_rmod`] with step (4) — the per-formal broadcast that
-/// materialises the `RMOD(p)` sets — fanned out over `pool`, one task per
-/// procedure. Steps (1)–(3) are a single `O(N_β + E_β)` boolean sweep and
-/// stay sequential. A procedure's set depends only on the (by then final)
-/// representer values, so the output is identical to [`solve_rmod`] at
-/// any thread count; a sequential pool takes the exact sequential path.
-pub fn solve_rmod_pooled<S: EffectSet>(
-    program: &Program,
-    initial: &[S],
-    beta: &BindingGraph,
-    pool: &modref_par::ThreadPool,
-) -> RmodSolutionIn<S> {
-    solve_rmod_guarded(program, initial, beta, pool, &Guard::unlimited())
-        .expect("an unlimited guard cannot interrupt the solver")
-}
-
-/// [`solve_rmod_pooled`] under a cooperative [`Guard`]: the solver polls at
-/// its entry checkpoint (`"rmod"`), at inner-loop strides, and between pool
-/// chunks, charging its boolean steps against the budget as it goes. On a
-/// trip it abandons the remaining work and reports the interrupt; partial
-/// results are discarded (the caller substitutes the conservative summary).
-pub fn solve_rmod_guarded<S: EffectSet>(
-    program: &Program,
-    initial: &[S],
-    beta: &BindingGraph,
-    pool: &modref_par::ThreadPool,
-    guard: &Guard,
-) -> Result<RmodSolutionIn<S>, Interrupt> {
     solve_rmod_traced(
         program,
         initial,
         beta,
-        pool,
-        guard,
+        &modref_par::ThreadPool::new(1),
+        &Guard::unlimited(),
         &modref_trace::Trace::disabled(),
     )
+    .expect("an unlimited guard cannot interrupt the solver")
 }
 
-/// [`solve_rmod_guarded`] recording one span per Figure 1 stage into
-/// `trace` — `rmod.seed` (per-node `IMOD` bits), `rmod.sccs` (step 1),
-/// `rmod.sweep` (steps 2–3 over the condensation), and `rmod.broadcast`
-/// (step 4) — each annotated with its share of the solver's boolean
-/// steps. Identical output at any thread count; tracing only observes.
+/// [`solve_rmod`] on a thread pool, under a cooperative [`Guard`],
+/// recording into a trace.
+///
+/// Step (4) — the per-formal broadcast that materialises the `RMOD(p)`
+/// sets — fans out over `pool`, one task per procedure. Steps (1)–(3) are
+/// a single `O(N_β + E_β)` boolean sweep and stay sequential. A
+/// procedure's set depends only on the (by then final) representer
+/// values, so the output is identical to [`solve_rmod`] at any thread
+/// count; a sequential pool takes the exact sequential path.
+///
+/// The solver polls `guard` at its entry checkpoint (`"rmod"`), at
+/// inner-loop strides, and between pool chunks, charging its boolean
+/// steps against the budget as it goes.
+///
+/// `trace` gets one span per Figure 1 stage — `rmod.seed` (per-node
+/// `IMOD` bits), `rmod.sccs` (step 1), `rmod.sweep` (steps 2–3 over the
+/// condensation), and `rmod.broadcast` (step 4) — each annotated with
+/// its share of the solver's boolean steps. Tracing only observes.
 ///
 /// # Errors
 ///
-/// As for [`solve_rmod_guarded`].
+/// Returns the guard's [`Interrupt`] on a trip; the remaining work is
+/// abandoned and partial results are discarded (the caller substitutes
+/// the conservative summary).
 pub fn solve_rmod_traced<S: EffectSet>(
     program: &Program,
     initial: &[S],
@@ -465,16 +450,23 @@ mod tests {
         let pool = modref_par::ThreadPool::new(1);
 
         let plain = solve_rmod(&program, effects.imod_all(), &beta);
-        let guarded =
-            solve_rmod_guarded(&program, effects.imod_all(), &beta, &pool, &Guard::unlimited())
-                .expect("unlimited");
+        let trace = modref_trace::Trace::disabled();
+        let guarded = solve_rmod_traced(
+            &program,
+            effects.imod_all(),
+            &beta,
+            &pool,
+            &Guard::unlimited(),
+            &trace,
+        )
+        .expect("unlimited");
         for p in program.procs() {
             assert_eq!(plain.rmod(p), guarded.rmod(p));
         }
         assert_eq!(plain.stats(), guarded.stats());
 
         let tight = Guard::new(&modref_guard::Budget::unlimited().with_bool_steps(0));
-        let err = solve_rmod_guarded(&program, effects.imod_all(), &beta, &pool, &tight)
+        let err = solve_rmod_traced(&program, effects.imod_all(), &beta, &pool, &tight, &trace)
             .expect_err("zero budget must trip");
         assert_eq!(err, Interrupt::BoolBudget);
     }
@@ -500,7 +492,15 @@ mod tests {
         let seq = solve_rmod(&program, effects.imod_all(), &beta);
         for threads in [2, 4] {
             let pool = modref_par::ThreadPool::new(threads);
-            let par = solve_rmod_pooled(&program, effects.imod_all(), &beta, &pool);
+            let par = solve_rmod_traced(
+                &program,
+                effects.imod_all(),
+                &beta,
+                &pool,
+                &Guard::unlimited(),
+                &modref_trace::Trace::disabled(),
+            )
+            .expect("unlimited");
             for p in program.procs() {
                 assert_eq!(seq.rmod(p), par.rmod(p), "rmod({p}) differs");
             }

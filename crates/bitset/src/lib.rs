@@ -5,15 +5,15 @@
 //! The algorithms of Cooper & Kennedy (PLDI 1988) state their complexity in
 //! *bit-vector steps*: whole-vector boolean operations over a universe of
 //! variables that, for interprocedural problems, grows linearly with program
-//! size (§1 of the paper). This crate provides the two representations every
+//! size (§1 of the paper). This crate provides the two structures every
 //! solver in the workspace uses:
 //!
 //! * [`BitSet`] — a fixed-universe dense set of `usize` elements.
-//! * [`BitMatrix`] — a rectangular array of rows over one shared universe,
-//!   with the split-row operations (`or_rows`, `or_rows_masked`) that
-//!   equation (4) of the paper needs (`GMOD[p] ∪= GMOD[q] ∖ LOCAL[q]`).
+//! * [`SetMatrix`] — a rectangular array of rows over one shared universe,
+//!   with the split-row operations (`or_rows_minus`, `or_rows_masked`)
+//!   that equation (4) of the paper needs (`GMOD[p] ∪= GMOD[q] ∖ LOCAL[q]`).
 //!
-//! Both types are plain data: no interior mutability, `Clone`/`Eq`/`Hash`,
+//! Both types are plain data: no interior mutability, `Clone`/`Eq`,
 //! and deterministic iteration in ascending element order.
 //!
 //! Since the solvers charge their cost model in representation-independent
@@ -21,8 +21,8 @@
 //! trait abstracts the set operations every solver phase uses, with two
 //! implementations — dense [`BitSet`] and the sparse-friendly
 //! [`HybridSet`] (inline word + sorted spill, promoting to dense past a
-//! density threshold). [`SetMatrix`] is the representation-generic twin of
-//! [`BitMatrix`], and [`SetRepr`] is the user-facing knob
+//! density threshold). [`SetMatrix`] rows are any [`EffectSet`], and
+//! [`SetRepr`] is the user-facing knob
 //! (`--set-repr dense|hybrid|auto`). See `docs/SETREPR.md`.
 //!
 //! # Examples
@@ -41,14 +41,12 @@
 //! assert_eq!(a.iter().collect::<Vec<_>>(), vec![3, 96, 100]);
 //! ```
 
-mod bitmatrix;
 mod bitset;
 mod counter;
 mod effect;
 mod hybrid;
 mod matrix;
 
-pub use bitmatrix::BitMatrix;
 pub use bitset::{BitSet, Iter};
 pub use counter::OpCounter;
 pub use effect::{

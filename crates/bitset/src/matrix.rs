@@ -1,11 +1,9 @@
 //! The [`SetMatrix`]: many [`EffectSet`] rows over one shared universe.
 //!
-//! The representation-generic twin of [`BitMatrix`](crate::BitMatrix): one
-//! row per procedure, with the split-row primitives equation (4) of
+//! One row per procedure, with the split-row primitives equation (4) of
 //! Cooper–Kennedy 1988 needs (`GMOD[p] ∪= GMOD[q] ∖ LOCAL[q]`). With
-//! `S = BitSet` each row is a dense vector exactly like a `BitMatrix` row
-//! (minus the single shared allocation); with `S = HybridSet` sparse rows
-//! stay one word plus a small spill until they promote.
+//! `S = BitSet` each row is its own dense vector; with `S = HybridSet`
+//! sparse rows stay one word plus a small spill until they promote.
 
 use std::fmt;
 
@@ -202,10 +200,16 @@ mod tests {
     fn exercise<S: EffectSet>() {
         let mut m: SetMatrix<S> = SetMatrix::new(3, 100);
         assert!(m.insert(0, 1));
+        assert!(!m.insert(0, 1));
         assert!(m.insert(2, 69));
         assert!(m.or_rows(0, 2));
         assert!(m.contains(0, 69));
         assert!(!m.or_rows(0, 0));
+        assert!(m.or_rows(2, 0));
+        assert!(m.contains(2, 1));
+        assert!(!m.or_rows(2, 0));
+        assert!(m.remove(2, 1));
+        assert!(!m.remove(2, 1));
         let local = S::from_elems(100, [69usize]);
         assert!(m.or_rows_minus(1, 0, &local));
         assert!(m.contains(1, 1) && !m.contains(1, 69));
@@ -220,6 +224,10 @@ mod tests {
         m.or_row_with_set(0, &s);
         assert!(m.remove(0, 69));
         assert_eq!(m.row(0).len(), 5);
+
+        let mut empty: SetMatrix<S> = SetMatrix::new(3, 0);
+        assert!(!empty.or_rows(0, 1));
+        assert_eq!(empty.row_len(2), 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Property-based tests: `BitSet`/`BitMatrix` against a `BTreeSet` model.
+//! Property-based tests: `BitSet`/`SetMatrix` against a `BTreeSet` model.
 
 use std::collections::BTreeSet;
 
-use modref_bitset::{BitMatrix, BitSet};
+use modref_bitset::{BitSet, SetMatrix};
 use modref_check::prelude::*;
 
 const DOMAIN: usize = 300;
@@ -66,15 +66,16 @@ property! {
     }
 
     fn matrix_or_rows_matches_sets(a in elems(), b in elems(), mask in elems()) {
-        let mut m = BitMatrix::new(2, DOMAIN);
-        m.set_row(0, &build(&a));
-        m.set_row(1, &build(&b));
-        let mask_set = build(&mask);
-        m.or_rows_minus(0, 1, &mask_set);
-        let mut want = build(&a);
-        want.union_with_difference(&build(&b), &mask_set);
-        prop_assert_eq!(m.row_to_set(0), want);
-        // Source row is untouched.
-        prop_assert_eq!(m.row_to_set(1), build(&b));
+        let (ma, mb, mmask) = (model(&a), model(&b), model(&mask));
+        let mut m: SetMatrix<BitSet> = SetMatrix::new(2, DOMAIN);
+        prop_assert_eq!(m.or_row_with_set(0, &build(&a)), !ma.is_empty());
+        prop_assert_eq!(m.or_row_with_set(1, &build(&b)), !mb.is_empty());
+        let changed = m.or_rows_minus(0, 1, &build(&mask));
+        let want: BTreeSet<usize> = ma.union(&(&mb - &mmask)).copied().collect();
+        prop_assert_eq!(changed, want != ma);
+        prop_assert_eq!(m.row_to_set(0).iter().collect::<BTreeSet<_>>(), want);
+        // Source row is untouched; a second pass changes nothing.
+        prop_assert_eq!(m.row_to_set(1).iter().collect::<BTreeSet<_>>(), mb);
+        prop_assert!(!m.or_rows_minus(0, 1, &build(&mask)));
     }
 }

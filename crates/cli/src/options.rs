@@ -6,7 +6,7 @@ use modref_core::{GmodAlgorithm, SetRepr};
 pub const USAGE: &str = "\
 usage:
   modref analyze  <file.mp> [--no-use] [--no-alias] [--parallel] [--json]
-                            [--gmod one|naive|fused|levels] [--threads N]
+                            [--gmod one|fused|levels] [--threads N]
                             [--set-repr dense|hybrid|auto]
                             [--timeout-ms N] [--budget-ops N]
                             [--trace <out.json>] [--metrics]
@@ -225,7 +225,6 @@ impl Command {
                             let v = it.next().ok_or("--gmod needs a value")?;
                             gmod = Some(match v.as_str() {
                                 "one" => GmodAlgorithm::OneLevel,
-                                "naive" => GmodAlgorithm::MultiLevelNaive,
                                 "fused" => GmodAlgorithm::MultiLevelFused,
                                 "levels" => GmodAlgorithm::LevelScheduled,
                                 other => return Err(format!("unknown --gmod value `{other}`")),

@@ -216,6 +216,23 @@ fn threads_zero_is_a_usage_error() {
 }
 
 #[test]
+fn gmod_naive_is_a_usage_error() {
+    let path = write_temp("gmod-naive", DEMO);
+    let out = modref()
+        .args(["analyze", path.to_str().expect("utf-8"), "--gmod", "naive"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(2), "exit code");
+    assert!(out.stdout.is_empty(), "no report on a usage error");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown --gmod value `naive`"),
+        "stderr: {err}"
+    );
+    assert!(err.contains("[--gmod one|fused|levels]"), "stderr: {err}");
+}
+
+#[test]
 fn trace_flag_emits_valid_chrome_json() {
     let path = write_temp("trace", DEMO);
     let trace_path = std::env::temp_dir().join("modref-cli-test-trace-out.json");
@@ -389,8 +406,10 @@ fn analyze_edits_metrics_reports_per_edit_counters() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("edit #0"), "stderr: {err}");
     assert!(err.contains("reused"), "stderr: {err}");
-    // The trace summary still prints, with the incremental span in it.
+    // The trace summary still prints, with the incremental span in it
+    // and the IR edit attributed to its own span.
     assert!(err.contains("incr.apply"), "stderr: {err}");
+    assert!(err.contains("incr.phase.edit"), "stderr: {err}");
 }
 
 #[test]

@@ -20,8 +20,8 @@
 //! * **`GMOD` rows** resolve by a Tarjan walk *from the queried node* over
 //!   the (per-problem, level-filtered) call multi-graph. Already-memoized
 //!   rows act as finalised external inputs and are not re-entered; each
-//!   discovered component is solved with the same closed-fixpoint kernel
-//!   as [`crate::gmod_levels::solve_component`] the moment it pops —
+//!   discovered component is closed by the kernel
+//!   [`crate::gmod_levels::solve_component`] also uses the moment it pops —
 //!   early cutoff, successors-first. Because every component's least
 //!   fixpoint is unique, the demanded rows are **bit-identical** to the
 //!   exhaustive solvers' rows.
@@ -53,13 +53,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use modref_binding::BindingGraph;
-use modref_bitset::{BitSet, EffectSet, OpCounter, SetMatrix};
+use modref_bitset::{BitSet, EffectSet, OpCounter};
 use modref_graph::DiGraph;
 use modref_guard::{Guard, Interrupt};
-use modref_ir::{flat_effects_of, Actual, CallGraph, CallSiteId, ProcId, Program, VarId};
+use modref_ir::{flat_effects_of, CallGraph, CallSiteId, ProcId, Program, VarId};
 
 use crate::alias::AliasPairsIn;
 use crate::dmod::project_site;
+use crate::gmod_levels::close_component;
+use crate::imod_plus::fold_site;
 
 /// Which of the two analogous problems (§1) a demand walks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -372,6 +374,15 @@ pub fn query_proc_guarded<S: EffectSet>(
     ))
 }
 
+/// Charges `ops`' delta since `charged` against `guard`, advances
+/// `charged`, and polls the guard.
+fn settle(guard: &Guard, ops: &OpCounter, charged: &mut OpCounter) -> Result<(), Interrupt> {
+    let d = ops.delta_since(charged);
+    guard.charge(d.bitvec_steps, d.bool_steps);
+    *charged = *ops;
+    guard.check()
+}
+
 /// One query's working state: the program snapshot, the shared memo, the
 /// guard, and the operation ledger (charged incrementally via `settle`).
 struct Demand<'a, S: EffectSet> {
@@ -396,10 +407,7 @@ impl<'a, S: EffectSet> Demand<'a, S> {
     /// Charges the op delta since the last settle against the guard and
     /// polls it — budget enforcement in exactly the units reported.
     fn settle(&mut self) -> Result<(), Interrupt> {
-        let d = self.ops.delta_since(&self.charged);
-        self.guard.charge(d.bitvec_steps, d.bool_steps);
-        self.charged = self.ops;
-        self.guard.check()
+        settle(self.guard, &self.ops, &mut self.charged)
     }
 
     // Graph construction (call graph, β, reversed call graph) is *not*
@@ -584,19 +592,11 @@ impl<'a, S: EffectSet> Demand<'a, S> {
             .clone()
             .expect("just ensured");
         for &(_, e) in cg.graph().successors_slice(u) {
-            let s = CallSiteId::new(e);
-            let site = program.site(s);
-            let formals = program.proc_(site.callee()).formals();
             self.ops.edges_visited += 1;
-            for (pos, arg) in site.args().iter().enumerate() {
+            fold_site(program, CallSiteId::new(e), &mut set, |_, formal| {
                 self.ops.bool_steps += 1;
-                if !self.rmod_bit(side, formals[pos])? {
-                    continue;
-                }
-                if let Actual::Ref(r) = arg {
-                    set.insert(r.var.index());
-                }
-            }
+                self.rmod_bit(side, formal)
+            })?;
         }
         self.settle()?;
         self.memo.plus[side.idx()][u] = Some(set);
@@ -700,10 +700,10 @@ impl<'a, S: EffectSet> Demand<'a, S> {
         Ok(())
     }
 
-    /// One component's closed fixpoint — the demand twin of
-    /// `gmod_levels::solve_component`, reading memoized rows instead of a
-    /// dense `g_final` slice. `base(u) = IMOD⁺(u) ∪ ⋃ (row(q) ∖ LOCAL(q))`
-    /// over external edges, then iterate the internal edges to a fixpoint.
+    /// One component's closed fixpoint, gathered like
+    /// `gmod_levels::solve_component` but from memoized rows instead of a
+    /// dense `g_final` slice: `base(u) = IMOD⁺(u) ∪ ⋃ (row(q) ∖ LOCAL(q))`
+    /// over external edges, then the shared `close_component` kernel.
     fn solve_scc(&mut self, side: Side, prob: usize, members: &[usize]) -> Result<(), Interrupt> {
         let cg = self.call_graph();
         self.ops.nodes_visited += members.len() as u64;
@@ -757,13 +757,12 @@ impl<'a, S: EffectSet> Demand<'a, S> {
             return Ok(());
         }
 
-        // SCC collapse — the same `T ∩ L = ∅` fast path as
-        // `gmod_levels::solve_component`: when no member's locals filter
-        // can strip any contribution, the fixpoint is `base(u) ∪ T`.
-        let mut transfer = S::empty(self.memo.num_vars);
-        let mut member_locals = S::empty(self.memo.num_vars);
+        // The component's transfer set and member-locals union, then the
+        // shared closure (collapse test, else iteration to the fixpoint).
+        let memo = &*self.memo;
+        let mut transfer = S::empty(memo.num_vars);
+        let mut member_locals = S::empty(memo.num_vars);
         for &u in members {
-            let memo = &*self.memo;
             member_locals.union_with(memo.locals[u].as_ref().expect("just ensured"));
             transfer.union_with_difference(
                 memo.plus[side.idx()][u].as_ref().expect("just ensured"),
@@ -772,43 +771,28 @@ impl<'a, S: EffectSet> Demand<'a, S> {
             self.ops.bitvec_steps += 2;
         }
         for &(_, q) in &external {
-            let memo = &*self.memo;
             transfer.union_with_difference(
                 memo.rows[side.idx()][prob][q].as_ref().expect("finalised"),
                 memo.locals[q].as_ref().expect("just ensured"),
             );
             self.ops.bitvec_steps += 1;
         }
-        self.ops.bool_steps += 1;
-        if transfer.is_disjoint(&member_locals) {
-            for (k, &u) in members.iter().enumerate() {
-                let mut row = std::mem::replace(&mut bases[k], S::empty(0));
-                row.union_with(&transfer);
-                self.ops.bitvec_steps += 1;
-                self.memo.rows[side.idx()][prob][u] = Some(row);
-            }
-            return self.settle();
-        }
-
-        let mut m: SetMatrix<S> = SetMatrix::new(members.len(), self.memo.num_vars);
-        for (k, base) in bases.iter().enumerate() {
-            m.or_row_with_set(k, base);
-        }
-        loop {
-            self.settle()?;
-            let mut changed = false;
-            for &(kf, kt, q) in &internal {
-                let local_q = self.memo.locals[q].as_ref().expect("just ensured");
-                changed |= m.or_rows_minus(kf, kt, local_q);
-                self.ops.bitvec_steps += 1;
-            }
-            self.ops.iterations += 1;
-            if !changed {
-                break;
-            }
-        }
-        for (k, &u) in members.iter().enumerate() {
-            self.memo.rows[side.idx()][prob][u] = Some(m.row_to_set(k));
+        let (guard, charged) = (self.guard, &mut self.charged);
+        let rows = close_component(
+            bases,
+            &transfer,
+            &member_locals,
+            &internal,
+            |q| memo.locals[q].as_ref().expect("just ensured"),
+            &mut self.ops,
+            |ops| {
+                settle(guard, ops, charged)?;
+                ops.iterations += 1;
+                Ok(())
+            },
+        )?;
+        for (row, &u) in rows.into_iter().zip(members) {
+            self.memo.rows[side.idx()][prob][u] = Some(row);
         }
         self.settle()
     }

@@ -50,24 +50,21 @@ impl<S: EffectSet> DmodSolutionIn<S> {
 ///
 /// Panics if `gmod.len() != program.num_procs()`.
 pub fn compute_dmod<S: EffectSet>(program: &Program, gmod: &[S]) -> DmodSolutionIn<S> {
-    compute_dmod_pooled(program, gmod, &modref_par::ThreadPool::new(1))
+    compute_dmod_guarded(
+        program,
+        gmod,
+        &modref_par::ThreadPool::new(1),
+        &Guard::unlimited(),
+    )
+    .expect("an unlimited guard cannot interrupt the solver")
 }
 
-/// [`compute_dmod`] with the per-site projections spread over `pool`.
-/// Each site's `b_e(GMOD(callee))` is independent of every other site's,
-/// so the fan-out is exact; a sequential pool computes inline.
-pub fn compute_dmod_pooled<S: EffectSet>(
-    program: &Program,
-    gmod: &[S],
-    pool: &modref_par::ThreadPool,
-) -> DmodSolutionIn<S> {
-    compute_dmod_guarded(program, gmod, pool, &Guard::unlimited())
-        .expect("an unlimited guard cannot interrupt the solver")
-}
-
-/// [`compute_dmod_pooled`] under a cooperative [`Guard`]: the per-site
-/// fan-out polls the guard between sites (and between chunks on the pool),
-/// charging one bit-vector step per projected site.
+/// [`compute_dmod`] with the per-site projections spread over `pool`,
+/// under a cooperative [`Guard`]. Each site's `b_e(GMOD(callee))` is
+/// independent of every other site's, so the fan-out is exact; a
+/// sequential pool computes inline. The fan-out polls the guard between
+/// sites (and between chunks on the pool), charging one bit-vector step
+/// per projected site.
 ///
 /// # Errors
 ///

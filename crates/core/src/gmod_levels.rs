@@ -57,44 +57,36 @@ pub fn solve_gmod_levels<S: EffectSet>(
     locals: &[S],
     pool: &ThreadPool,
 ) -> GmodSolutionIn<S> {
-    solve_gmod_levels_guarded(program, call_graph, seeds, locals, pool, &Guard::unlimited())
-        .expect("an unlimited guard cannot interrupt the solver")
-}
-
-/// [`solve_gmod_levels`] under a cooperative [`Guard`]: checkpoint
-/// `"gmod"` at entry, a budget charge plus poll between condensation
-/// levels, and pool workers that drop out between chunks once the guard
-/// trips — cancellation drains the level fan-out promptly.
-pub fn solve_gmod_levels_guarded<S: EffectSet>(
-    program: &Program,
-    call_graph: &DiGraph,
-    seeds: &[S],
-    locals: &[S],
-    pool: &ThreadPool,
-    guard: &Guard,
-) -> Result<GmodSolutionIn<S>, Interrupt> {
     solve_gmod_levels_traced(
         program,
         call_graph,
         seeds,
         locals,
         pool,
-        guard,
+        &Guard::unlimited(),
         &modref_trace::Trace::disabled(),
     )
+    .expect("an unlimited guard cannot interrupt the solver")
 }
 
-/// [`solve_gmod_levels_guarded`] recording one `gmod.level` span per
-/// condensation level into `trace` (annotated with the level index, its
-/// component count, and its bit-vector steps), plus a `gmod.problem` span
-/// per multi-level problem on nested programs. This is the view that
-/// explains a flat parallel-scaling curve: level width, not thread count,
-/// bounds the useful concurrency. Identical output at any thread count;
-/// tracing only observes.
+/// [`solve_gmod_levels`] under a cooperative [`Guard`], recording into
+/// `trace`.
+///
+/// The guard gets checkpoint `"gmod"` at entry, a budget charge plus poll
+/// between condensation levels, and pool workers that drop out between
+/// chunks once it trips, so cancellation drains the level fan-out
+/// promptly. The trace gets one `gmod.level` span per condensation level
+/// (annotated with the level index, its component count, and its
+/// bit-vector steps), plus a `gmod.problem` span per multi-level problem
+/// on nested programs. This is the view that explains a flat
+/// parallel-scaling curve: level width, not thread count, bounds the
+/// useful concurrency. Identical output at any thread count; tracing only
+/// observes.
 ///
 /// # Errors
 ///
-/// As for [`solve_gmod_levels_guarded`].
+/// Returns the guard's [`Interrupt`] if a deadline, budget, or
+/// cancellation trips; partial rows are discarded.
 pub fn solve_gmod_levels_traced<S: EffectSet>(
     program: &Program,
     call_graph: &DiGraph,
@@ -226,7 +218,7 @@ fn solve_problem<S: EffectSet>(
         };
         let mut level_work = OpCounter::new();
         for (slot, &c) in results.into_iter().zip(group) {
-            let Some((sets, counter)) = slot else {
+            let Some(Ok((sets, counter))) = slot else {
                 guard.check()?;
                 return Err(guard.interrupt().unwrap_or(Interrupt::Halted));
             };
@@ -255,6 +247,11 @@ fn solve_problem<S: EffectSet>(
 /// node; `g_final[q]` must hold the final `GMOD` row of every node `q`
 /// reachable from the component through a cross-component edge. Returns
 /// one row per member, in member order, plus the work done.
+///
+/// # Errors
+///
+/// Returns the guard's [`Interrupt`] if it trips while the component
+/// iterates; the partial rows are discarded.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_component<S: EffectSet>(
     c: modref_graph::SccId,
@@ -267,7 +264,7 @@ pub fn solve_component<S: EffectSet>(
     g_final: &[S],
     num_vars: usize,
     guard: &Guard,
-) -> (Vec<S>, OpCounter) {
+) -> Result<(Vec<S>, OpCounter), Interrupt> {
     let members = sccs.members(c);
     let mut counter = OpCounter::new();
     counter.nodes_visited += members.len() as u64;
@@ -284,7 +281,7 @@ pub fn solve_component<S: EffectSet>(
                 counter.bitvec_steps += 1;
             }
         }
-        return (vec![set], counter);
+        return Ok((vec![set], counter));
     }
 
     // (row of caller, row of callee, callee node) for intra-component
@@ -315,6 +312,44 @@ pub fn solve_component<S: EffectSet>(
         bases.push(base);
     }
 
+    // The direct poll converts a passed deadline into a trip while every
+    // pool thread is busy inside component solves.
+    let rows = close_component(
+        bases,
+        &transfer,
+        &member_locals,
+        &internal,
+        |q| &locals[q],
+        &mut counter,
+        |_| guard.check(),
+    )?;
+    Ok((rows, counter))
+}
+
+/// The closure of one non-trivial component of equation (4), shared by
+/// [`solve_component`] and the demand memo: given each member's `base`
+/// row (its seed joined with every finalised row across an outgoing
+/// cross-component edge, filtered by that callee's `LOCAL`), the
+/// component's transfer set `transfer` (every such contribution, also
+/// stripped of its own member's `LOCAL`), the union `member_locals` of
+/// the members' `LOCAL` sets, and the `internal` edges as
+/// `(caller row, callee row, callee node)` without self-edges, with
+/// `local(q)` = `LOCAL(q)`, returns the least fixpoint row of every
+/// member, in base order.
+///
+/// Counts one boolean step for the collapse test and one bit-vector step
+/// per row update in `ops`. `poll` runs before each round of the
+/// iteration and may count and charge `ops` itself; an error abandons the
+/// fixpoint and is returned.
+pub(crate) fn close_component<'a, S: EffectSet + 'a>(
+    mut bases: Vec<S>,
+    transfer: &S,
+    member_locals: &S,
+    internal: &[(usize, usize, usize)],
+    local: impl Fn(usize) -> &'a S,
+    ops: &mut OpCounter,
+    mut poll: impl FnMut(&mut OpCounter) -> Result<(), Interrupt>,
+) -> Result<Vec<S>, Interrupt> {
     // SCC collapse (§4): when `T ∩ L = ∅`, no internal hop's `∖ LOCAL`
     // filter can strip anything a member injects, so every contribution
     // reaches every member intact (the component is strongly connected)
@@ -324,37 +359,31 @@ pub fn solve_component<S: EffectSet>(
     // path). This is always the case for flat-scope programs — member
     // locals are invisible to each other — and turns the quadratic
     // passes-× -edges iteration into one pass.
-    counter.bool_steps += 1;
-    if transfer.is_disjoint(&member_locals) {
+    ops.bool_steps += 1;
+    if transfer.is_disjoint(member_locals) {
         for base in &mut bases {
-            base.union_with(&transfer);
+            base.union_with(transfer);
         }
-        counter.bitvec_steps += members.len() as u64;
-        return (bases, counter);
+        ops.bitvec_steps += bases.len() as u64;
+        return Ok(bases);
     }
 
-    let mut m: SetMatrix<S> = SetMatrix::new(members.len(), num_vars);
+    let mut m: SetMatrix<S> = SetMatrix::new(bases.len(), transfer.domain());
     for (k, base) in bases.iter().enumerate() {
         m.or_row_with_set(k, base);
     }
     loop {
-        // A tripped guard abandons the fixpoint mid-way; the caller
-        // observes the trip and discards these partial rows. The direct
-        // poll also converts a passed deadline into a trip while every
-        // pool thread is busy inside component solves.
-        if guard.should_stop() || guard.check().is_err() {
-            break;
-        }
+        poll(ops)?;
         let mut changed = false;
-        for &(kf, kt, q) in &internal {
-            changed |= m.or_rows_minus(kf, kt, &locals[q]);
-            counter.bitvec_steps += 1;
+        for &(kf, kt, q) in internal {
+            changed |= m.or_rows_minus(kf, kt, local(q));
+            ops.bitvec_steps += 1;
         }
         if !changed {
             break;
         }
     }
-    (m.into_rows(), counter)
+    Ok(m.into_rows())
 }
 
 #[cfg(test)]

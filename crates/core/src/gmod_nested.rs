@@ -47,7 +47,9 @@ fn level_masks<S: EffectSet>(program: &Program) -> Vec<S> {
 }
 
 /// Exact nested `GMOD` by running Figure 2 once per nesting level and
-/// taking the union — `O(d_P (E_C + N_C))` bit-vector steps.
+/// taking the union — `O(d_P (E_C + N_C))` bit-vector steps. The reference
+/// the tests and experiment E3 check [`solve_gmod_multi_fused`] against;
+/// no production path runs it.
 ///
 /// `seeds[p]` is `IMOD⁺(p)`, `locals[p]` is `LOCAL(p)`.
 ///
@@ -60,22 +62,8 @@ pub fn solve_gmod_multi_naive<S: EffectSet>(
     seeds: &[S],
     locals: &[S],
 ) -> GmodSolutionIn<S> {
-    solve_gmod_multi_naive_guarded(program, call_graph, seeds, locals, &Guard::unlimited())
-        .expect("an unlimited guard cannot interrupt the solver")
-}
-
-/// [`solve_gmod_multi_naive`] under a cooperative [`Guard`] (checkpoint
-/// `"gmod"`, strides inside each per-level Figure 2 run).
-pub fn solve_gmod_multi_naive_guarded<S: EffectSet>(
-    program: &Program,
-    call_graph: &DiGraph,
-    seeds: &[S],
-    locals: &[S],
-    guard: &Guard,
-) -> Result<GmodSolutionIn<S>, Interrupt> {
     assert_eq!(seeds.len(), program.num_procs(), "one seed per procedure");
     assert_eq!(locals.len(), program.num_procs(), "one LOCAL per procedure");
-    guard.checkpoint("gmod")?;
     let dp = program.max_level() as usize;
     let masks: Vec<S> = level_masks(program);
     let callee_level: Vec<usize> = call_graph
@@ -84,10 +72,6 @@ pub fn solve_gmod_multi_naive_guarded<S: EffectSet>(
         .collect();
 
     let mut total_stats = OpCounter::new();
-    // The per-level Figure 2 runs charge their own work through `guard`;
-    // this meter covers only the union sweep, so nothing is double-billed.
-    let mut union_work = OpCounter::new();
-    let mut meter = Meter::new(64);
     let mut union_sets: Vec<S> = seeds.to_vec();
     #[allow(clippy::needless_range_loop)] // `i` is the problem number, not just an index
     for i in 1..=dp {
@@ -98,19 +82,17 @@ pub fn solve_gmod_multi_naive_guarded<S: EffectSet>(
             locals,
             |e| callee_level[e] >= i,
             &ClosureFilter::Mask(masks[i].clone()),
-            guard,
-        )?;
+            &Guard::unlimited(),
+        )
+        .expect("an unlimited guard cannot interrupt the solver");
         let (sets, stats) = sol.into_parts();
         total_stats += stats;
         for (acc, s) in union_sets.iter_mut().zip(&sets) {
             acc.union_with(s);
             total_stats.bitvec_steps += 1;
-            union_work.bitvec_steps += 1;
-            meter.tick(guard, &union_work)?;
         }
     }
-    meter.settle(guard, &union_work)?;
-    Ok(GmodSolutionIn::new(union_sets, total_stats))
+    GmodSolutionIn::new(union_sets, total_stats)
 }
 
 /// Exact nested `GMOD` in a single depth-first pass with lowlink *vectors*

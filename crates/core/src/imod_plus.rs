@@ -9,7 +9,7 @@
 
 use modref_bitset::{EffectSet, OpCounter};
 use modref_guard::{Guard, Interrupt};
-use modref_ir::{Actual, Program};
+use modref_ir::{Actual, CallSiteId, ProcId, Program, VarId};
 
 use modref_binding::RmodSolutionIn;
 
@@ -58,13 +58,18 @@ pub fn compute_imod_plus<S: EffectSet>(
     initial: &[S],
     rmod: &RmodSolutionIn<S>,
 ) -> (Vec<S>, OpCounter) {
-    compute_imod_plus_guarded(program, initial, rmod, &Guard::unlimited())
+    compute_imod_plus_guarded(program, initial, rmod.rmod_all(), &Guard::unlimited())
         .expect("an unlimited guard cannot interrupt the solver")
 }
 
-/// [`compute_imod_plus`] under a cooperative [`Guard`]: the single pass
-/// over call sites polls the guard every few hundred sites and charges its
-/// boolean work against the budget.
+/// [`compute_imod_plus`] over plain `RMOD` rows, under a cooperative
+/// [`Guard`]: the single pass over call sites polls the guard every few
+/// hundred sites and charges its boolean work against the budget.
+///
+/// `rmod[q]` is `RMOD(q)` (only bits of `q`'s own formals are read), as
+/// both the batch [`RmodSolutionIn`] and the incremental engine hold it.
+/// The pass has no fault-injection checkpoint of its own: each caller
+/// names its phase's site before calling.
 ///
 /// # Errors
 ///
@@ -73,11 +78,12 @@ pub fn compute_imod_plus<S: EffectSet>(
 ///
 /// # Panics
 ///
-/// Panics if `initial.len() != program.num_procs()`.
+/// Panics if `initial.len()` or `rmod.len()` differs from
+/// `program.num_procs()`.
 pub fn compute_imod_plus_guarded<S: EffectSet>(
     program: &Program,
     initial: &[S],
-    rmod: &RmodSolutionIn<S>,
+    rmod: &[S],
     guard: &Guard,
 ) -> Result<(Vec<S>, OpCounter), Interrupt> {
     assert_eq!(
@@ -85,28 +91,44 @@ pub fn compute_imod_plus_guarded<S: EffectSet>(
         program.num_procs(),
         "one initial set per procedure"
     );
-    guard.checkpoint("imod_plus")?;
+    assert_eq!(rmod.len(), program.num_procs(), "one RMOD per procedure");
     let mut stats = OpCounter::new();
     let mut meter = Meter::new(256);
     let mut plus = initial.to_vec();
     for s in program.sites() {
         meter.tick(guard, &stats)?;
-        let site = program.site(s);
-        let caller = site.caller();
-        let callee_formals = program.proc_(site.callee()).formals();
         stats.edges_visited += 1;
-        for (pos, arg) in site.args().iter().enumerate() {
+        let caller = program.site(s).caller();
+        fold_site(program, s, &mut plus[caller.index()], |callee, formal| {
             stats.bool_steps += 1;
-            if !rmod.is_modified(callee_formals[pos]) {
-                continue;
-            }
-            if let Actual::Ref(r) = arg {
-                plus[caller.index()].insert(r.var.index());
-            }
-        }
+            Ok(rmod[callee.index()].contains(formal.index()))
+        })?;
     }
     meter.settle(guard, &stats)?;
     Ok((plus, stats))
+}
+
+/// Equation (5) at one call site `s`: inserts into `plus` every
+/// by-reference actual whose receiving formal is in the callee's `RMOD`,
+/// as `in_rmod(callee, formal)` reports. `in_rmod` is asked once per
+/// actual, in order, by-value actuals included; an error stops the fold
+/// and is returned.
+pub(crate) fn fold_site<S: EffectSet>(
+    program: &Program,
+    s: CallSiteId,
+    plus: &mut S,
+    mut in_rmod: impl FnMut(ProcId, VarId) -> Result<bool, Interrupt>,
+) -> Result<(), Interrupt> {
+    let site = program.site(s);
+    let callee = site.callee();
+    for (arg, &formal) in site.args().iter().zip(program.proc_(callee).formals()) {
+        if in_rmod(callee, formal)? {
+            if let Actual::Ref(r) = arg {
+                plus.insert(r.var.index());
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -61,7 +61,6 @@ pub mod gmod;
 pub mod gmod_levels;
 pub mod gmod_nested;
 pub mod imod_plus;
-pub mod incremental;
 mod meter;
 pub mod modsets;
 pub mod pipeline;
@@ -72,15 +71,11 @@ pub use demand::{
     DemandMemo, ProcAnswer, Side, SiteAnswer,
 };
 pub use gmod::{solve_gmod_one_level, solve_gmod_one_level_guarded, GmodSolution, GmodSolutionIn};
-pub use gmod_levels::{
-    solve_component, solve_gmod_levels, solve_gmod_levels_guarded, solve_gmod_levels_traced,
-};
+pub use gmod_levels::{solve_component, solve_gmod_levels, solve_gmod_levels_traced};
 pub use gmod_nested::{
     solve_gmod_multi_fused, solve_gmod_multi_fused_guarded, solve_gmod_multi_naive,
-    solve_gmod_multi_naive_guarded,
 };
 pub use imod_plus::{compute_imod_plus, compute_imod_plus_guarded};
-pub use incremental::{Delta, EditError, IncrementalAnalyzer};
 pub use dmod::{DmodSolution, DmodSolutionIn};
 pub use modsets::{ModSolution, ModSolutionIn};
 pub use pipeline::{

@@ -55,24 +55,21 @@ pub fn compute_mod<S: EffectSet>(
     dmod: &DmodSolutionIn<S>,
     aliases: &AliasPairsIn<S>,
 ) -> ModSolutionIn<S> {
-    compute_mod_pooled(program, dmod, aliases, &modref_par::ThreadPool::new(1))
+    compute_mod_guarded(
+        program,
+        dmod,
+        aliases,
+        &modref_par::ThreadPool::new(1),
+        &Guard::unlimited(),
+    )
+    .expect("an unlimited guard cannot interrupt the solver")
 }
 
-/// [`compute_mod`] with the per-site alias factoring spread over `pool`;
-/// sites are independent, so the result is identical at any thread count.
-pub fn compute_mod_pooled<S: EffectSet>(
-    program: &Program,
-    dmod: &DmodSolutionIn<S>,
-    aliases: &AliasPairsIn<S>,
-    pool: &modref_par::ThreadPool,
-) -> ModSolutionIn<S> {
-    compute_mod_guarded(program, dmod, aliases, pool, &Guard::unlimited())
-        .expect("an unlimited guard cannot interrupt the solver")
-}
-
-/// [`compute_mod_pooled`] under a cooperative [`Guard`]: the per-site
-/// alias factoring polls the guard between sites (and between chunks on
-/// the pool), charging one bit-vector step per site.
+/// [`compute_mod`] with the per-site alias factoring spread over `pool`,
+/// under a cooperative [`Guard`]. Sites are independent, so the result is
+/// identical at any thread count. The factoring polls the guard between
+/// sites (and between chunks on the pool), charging one bit-vector step
+/// per site.
 ///
 /// # Errors
 ///

@@ -23,7 +23,7 @@ use crate::alias::{AliasPairs, AliasPairsIn};
 use crate::dmod::{compute_dmod_guarded, DmodSolutionIn};
 use crate::gmod::{solve_gmod_one_level_guarded, GmodSolutionIn};
 use crate::gmod_levels::solve_gmod_levels_traced;
-use crate::gmod_nested::{solve_gmod_multi_fused_guarded, solve_gmod_multi_naive_guarded};
+use crate::gmod_nested::solve_gmod_multi_fused_guarded;
 use crate::imod_plus::compute_imod_plus_guarded;
 use crate::modsets::compute_mod_guarded;
 
@@ -69,8 +69,6 @@ pub enum GmodAlgorithm {
     Auto,
     /// Figure 2 verbatim. Exact only for programs with `max_level() ≤ 1`.
     OneLevel,
-    /// One Figure 2 run per nesting level, `O(d_P (E_C + N_C))`.
-    MultiLevelNaive,
     /// The single-pass lowlink-vector algorithm, `O(E_C + d_P·N_C)`.
     MultiLevelFused,
     /// Level-scheduled propagation over the condensation
@@ -558,7 +556,7 @@ impl Analyzer {
         );
         stats.dmod += dmod.stats();
         let duse = if self.skip_use {
-            DmodSolutionIn::empty(program)
+            DmodSolutionIn::empty_impl(program)
         } else {
             let d = run_phase(
                 Phase::Dmod,
@@ -579,7 +577,7 @@ impl Analyzer {
         // factoring below compensates by widening the final sets instead.
         let t = Instant::now();
         let aliases = if self.skip_aliases {
-            AliasPairsIn::<S>::compute_empty(program)
+            AliasPairsIn::<S>::empty_impl(program)
         } else {
             let mut alias_span = self.trace.span("alias");
             let pairs = run_phase(
@@ -587,7 +585,7 @@ impl Analyzer {
                 &mut failures,
                 &mut stats.wall.fallback,
                 || AliasPairsIn::<S>::compute_guarded(program, guard),
-                || AliasPairsIn::<S>::compute_empty(program),
+                || AliasPairsIn::<S>::empty_impl(program),
             );
             let total_pairs: usize = program.procs().map(|p| pairs.pair_count(p)).sum();
             alias_span.arg("pairs", total_pairs as u64);
@@ -766,7 +764,10 @@ impl Analyzer {
             plus_phase,
             failures,
             &mut stats.wall.fallback,
-            || compute_imod_plus_guarded(program, initial, &rmod, guard),
+            || {
+                guard.checkpoint("imod_plus")?;
+                compute_imod_plus_guarded(program, initial, rmod.rmod_all(), guard)
+            },
             || (visible_sets_in::<S>(program), OpCounter::new()),
         );
         span_ops(&mut plus_span, &plus_stats);
@@ -792,7 +793,6 @@ impl Analyzer {
             "algorithm",
             match algorithm {
                 GmodAlgorithm::OneLevel => "one_level",
-                GmodAlgorithm::MultiLevelNaive => "multi_naive",
                 GmodAlgorithm::MultiLevelFused | GmodAlgorithm::Auto => "multi_fused",
                 GmodAlgorithm::LevelScheduled => "level_scheduled",
             },
@@ -804,9 +804,6 @@ impl Analyzer {
             || match algorithm {
                 GmodAlgorithm::OneLevel => {
                     solve_gmod_one_level_guarded(program, call_graph.graph(), &plus, locals, guard)
-                }
-                GmodAlgorithm::MultiLevelNaive => {
-                    solve_gmod_multi_naive_guarded(program, call_graph.graph(), &plus, locals, guard)
                 }
                 GmodAlgorithm::MultiLevelFused | GmodAlgorithm::Auto => {
                     solve_gmod_multi_fused_guarded(program, call_graph.graph(), &plus, locals, guard)
@@ -1079,67 +1076,6 @@ impl Summary {
     pub fn stats(&self) -> &PhaseStats {
         &self.stats
     }
-
-    // --- mutators for the incremental analyzer (crate-internal) --------
-
-    pub(crate) fn set_local_effects(&mut self, effects: LocalEffects) {
-        self.effects = effects;
-    }
-
-    pub(crate) fn rmod_mut(&mut self, p: ProcId) -> &mut BitSet {
-        &mut self.rmod[p.index()]
-    }
-
-    pub(crate) fn ruse_mut(&mut self, p: ProcId) -> &mut BitSet {
-        &mut self.ruse[p.index()]
-    }
-
-    pub(crate) fn imod_plus_mut(&mut self, p: ProcId) -> &mut BitSet {
-        &mut self.imod_plus[p.index()]
-    }
-
-    pub(crate) fn iuse_plus_mut(&mut self, p: ProcId) -> &mut BitSet {
-        &mut self.iuse_plus[p.index()]
-    }
-
-    pub(crate) fn gmod_mut(&mut self, p: ProcId) -> &mut BitSet {
-        &mut self.gmod[p.index()]
-    }
-
-    pub(crate) fn guse_mut(&mut self, p: ProcId) -> &mut BitSet {
-        &mut self.guse[p.index()]
-    }
-
-    /// Replaces one site's projected sets; returns `true` if the final
-    /// `MOD` or `USE` set grew.
-    pub(crate) fn replace_site_sets(
-        &mut self,
-        s: CallSiteId,
-        dmod: BitSet,
-        mod_: BitSet,
-        duse: BitSet,
-        use_: BitSet,
-    ) -> bool {
-        let grew = !mod_.is_subset(&self.mod_sites[s.index()])
-            || !use_.is_subset(&self.use_sites[s.index()]);
-        self.dmod_sites[s.index()] = dmod;
-        self.mod_sites[s.index()] = mod_;
-        self.duse_sites[s.index()] = duse;
-        self.use_sites[s.index()] = use_;
-        grew
-    }
-}
-
-impl<S: EffectSet> DmodSolutionIn<S> {
-    fn empty(program: &Program) -> Self {
-        Self::empty_impl(program)
-    }
-}
-
-impl<S: EffectSet> AliasPairsIn<S> {
-    fn compute_empty(program: &Program) -> Self {
-        Self::empty_impl(program)
-    }
 }
 
 #[cfg(test)]
@@ -1205,15 +1141,29 @@ mod tests {
         b.call(main, p, &[]);
         let program = b.finish().expect("valid");
 
-        let naive = Analyzer::new()
-            .gmod_algorithm(GmodAlgorithm::MultiLevelNaive)
-            .analyze(&program);
         let fused = Analyzer::new()
             .gmod_algorithm(GmodAlgorithm::MultiLevelFused)
             .analyze(&program);
+        let cg = CallGraph::build(&program);
+        let locals = program.local_sets();
+        let plus = |side: fn(&Summary, ProcId) -> &BitSet| -> Vec<BitSet> {
+            program.procs().map(|p| side(&fused, p).clone()).collect()
+        };
+        let naive_mod = crate::gmod_nested::solve_gmod_multi_naive(
+            &program,
+            cg.graph(),
+            &plus(Summary::imod_plus),
+            &locals,
+        );
+        let naive_use = crate::gmod_nested::solve_gmod_multi_naive(
+            &program,
+            cg.graph(),
+            &plus(Summary::iuse_plus),
+            &locals,
+        );
         for proc_ in program.procs() {
-            assert_eq!(naive.gmod(proc_), fused.gmod(proc_));
-            assert_eq!(naive.guse(proc_), fused.guse(proc_));
+            assert_eq!(naive_mod.gmod(proc_), fused.gmod(proc_));
+            assert_eq!(naive_use.gmod(proc_), fused.guse(proc_));
         }
     }
 

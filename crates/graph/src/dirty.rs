@@ -6,13 +6,13 @@
 //! dataflow orientation: a component's value is a function of its
 //! *successors'* values (callees, bound formals), and components are
 //! processed successors-first (ascending [`SccId`] or sinks-first level
-//! order). [`DirtySweep`] tracks, during such a sweep, which components
+//! order). [`SparseSweep`] tracks, during such a sweep, which components
 //! must be recomputed:
 //!
 //! * components whose inputs changed outright (edited seeds, changed
 //!   membership) are **seeded** dirty before the sweep;
 //! * when a dirty component is recomputed and its value actually
-//!   *changed*, every predecessor becomes dirty ([`DirtySweep::update`]
+//!   *changed*, every predecessor becomes dirty ([`SparseSweep::update`]
 //!   with `changed = true`);
 //! * when a recomputation reproduces the cached value, the dirtiness
 //!   stops there — predecessors whose other inputs are clean keep their
@@ -20,108 +20,15 @@
 //!
 //! Because the processing order is successors-first, a predecessor is
 //! always visited *after* every component that could dirty it, so one
-//! sweep suffices; no worklist is needed.
+//! sweep suffices.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::digraph::DiGraph;
 use crate::scc::SccId;
 
 /// Dirty-component bookkeeping for one successors-first sweep over a
-/// condensation (see the module docs).
-///
-/// # Examples
-///
-/// ```
-/// use modref_graph::{DiGraph, DirtySweep};
-///
-/// // Condensation 2 → 1 → 0 (ascending ids = successors first).
-/// let g = DiGraph::from_edges(3, [(2, 1), (1, 0)]);
-/// let mut sweep = DirtySweep::new(&g);
-/// sweep.seed(1);
-/// assert!(!sweep.is_dirty(0));
-/// assert!(sweep.is_dirty(1));
-/// // Recomputing 1 changes its value → its predecessor 2 gets dirty.
-/// sweep.update(1, true);
-/// assert!(sweep.is_dirty(2));
-/// sweep.update(2, false);
-/// assert_eq!((sweep.recomputed(), sweep.reused()), (2, 0));
-/// ```
-#[derive(Debug, Clone)]
-pub struct DirtySweep {
-    preds: Vec<Vec<SccId>>,
-    dirty: Vec<bool>,
-    reused: usize,
-    recomputed: usize,
-}
-
-impl DirtySweep {
-    /// Prepares a sweep over `condensed` (a [`Condensation::graph`],
-    /// though any acyclic [`DiGraph`] whose sweep order is
-    /// successors-first works). All components start clean.
-    ///
-    /// [`Condensation::graph`]: crate::condense::Condensation::graph
-    pub fn new(condensed: &DiGraph) -> Self {
-        let mut preds = vec![Vec::new(); condensed.num_nodes()];
-        for e in condensed.edges() {
-            if e.from != e.to {
-                preds[e.to].push(e.from);
-            }
-        }
-        for p in &mut preds {
-            p.sort_unstable();
-            p.dedup();
-        }
-        DirtySweep {
-            preds,
-            dirty: vec![false; condensed.num_nodes()],
-            reused: 0,
-            recomputed: 0,
-        }
-    }
-
-    /// Marks `c` dirty before the sweep (its inputs changed).
-    pub fn seed(&mut self, c: SccId) {
-        self.dirty[c] = true;
-    }
-
-    /// Whether `c` must be recomputed when the sweep reaches it.
-    pub fn is_dirty(&self, c: SccId) -> bool {
-        self.dirty[c]
-    }
-
-    /// Records that dirty component `c` was recomputed; `changed` says
-    /// whether the new value differs from the cached one. On change,
-    /// every predecessor of `c` becomes dirty.
-    pub fn update(&mut self, c: SccId, changed: bool) {
-        self.recomputed += 1;
-        if changed {
-            for i in 0..self.preds[c].len() {
-                let p = self.preds[c][i];
-                self.dirty[p] = true;
-            }
-        }
-    }
-
-    /// Records that clean component `c` kept its cached value.
-    pub fn skip(&mut self, c: SccId) {
-        debug_assert!(!self.dirty[c], "skipped a dirty component");
-        self.reused += 1;
-    }
-
-    /// Number of components whose cached value was kept.
-    pub fn reused(&self) -> usize {
-        self.reused
-    }
-
-    /// Number of components recomputed.
-    pub fn recomputed(&self) -> usize {
-        self.recomputed
-    }
-}
-
-/// A frontier-driven variant of [`DirtySweep`]: instead of walking every
+/// condensation (see the module docs). Instead of walking every
 /// component of the condensation and asking "dirty or clean?", it visits
 /// **only** the dirty frontier, pulled from a min-heap ordered by
 /// topological level. Work is `O(D log D + E_D)` in the number of dirty
@@ -130,7 +37,7 @@ impl DirtySweep {
 /// half of the early-cutoff scheme: a one-procedure edit on a 1024-node
 /// flat condensation touches a handful of components, not 1024.
 ///
-/// Correctness relies on the same orientation as [`DirtySweep`]: a
+/// Correctness relies on the orientation of the module docs: a
 /// component's value depends only on its successors, which sit at strictly
 /// *lower* levels. Seeds are all enqueued before the first batch is drawn,
 /// and [`SparseSweep::update`] only enqueues predecessors — which sit at
@@ -249,33 +156,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clean_graph_reuses_everything() {
-        let g = DiGraph::from_edges(4, [(3, 2), (2, 1), (1, 0)]);
-        let mut sweep = DirtySweep::new(&g);
-        for c in 0..4 {
-            assert!(!sweep.is_dirty(c));
-            sweep.skip(c);
-        }
-        assert_eq!(sweep.reused(), 4);
-        assert_eq!(sweep.recomputed(), 0);
-    }
-
-    #[test]
-    fn unchanged_fixpoint_stops_propagation() {
-        // Diamond: 3 → {1, 2} → 0.
-        let g = DiGraph::from_edges(4, [(3, 1), (3, 2), (1, 0), (2, 0)]);
-        let mut sweep = DirtySweep::new(&g);
-        sweep.seed(0);
-        sweep.update(0, true); // 0 changed → 1 and 2 dirty
-        assert!(sweep.is_dirty(1) && sweep.is_dirty(2));
-        sweep.update(1, false); // 1's fixpoint survived …
-        sweep.update(2, false); // … and so did 2's
-        assert!(!sweep.is_dirty(3)); // → 3 is reused
-        sweep.skip(3);
-        assert_eq!((sweep.recomputed(), sweep.reused()), (3, 1));
-    }
-
-    #[test]
     fn sparse_sweep_visits_only_the_frontier() {
         // Diamond 3 → {1, 2} → 0 plus an untouched island 4.
         let preds: Vec<Vec<SccId>> = vec![vec![1, 2], vec![3], vec![3], vec![], vec![]];
@@ -314,21 +194,5 @@ mod tests {
         }
         assert_eq!(order, vec![0, 1, 2, 3]);
         assert_eq!(sweep.recomputed(), 4);
-    }
-
-    #[test]
-    fn parallel_edges_and_self_loops_dedup() {
-        let mut g = DiGraph::new(2);
-        g.add_edge(1, 0);
-        g.add_edge(1, 0); // parallel
-        g.add_edge(1, 1); // self-loop: a component never dirties itself
-        let mut sweep = DirtySweep::new(&g);
-        sweep.seed(0);
-        sweep.update(0, true);
-        assert!(sweep.is_dirty(1));
-        assert_eq!(sweep.preds[1], vec![] as Vec<SccId>); // self-loop excluded
-        assert_eq!(sweep.preds[0], vec![1]); // parallel edges deduplicated
-        sweep.update(1, true); // root change dirties nobody
-        assert_eq!(sweep.recomputed(), 2);
     }
 }

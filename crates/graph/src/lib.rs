@@ -50,7 +50,7 @@ pub mod scc;
 pub mod topo;
 
 pub use condense::Condensation;
-pub use dirty::{DirtySweep, SparseSweep};
+pub use dirty::SparseSweep;
 pub use dyncond::{DynCondensation, PatchEffect};
 pub use levels::Levels;
 pub use dfs::{DepthFirst, EdgeKind};

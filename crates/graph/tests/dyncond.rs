@@ -15,7 +15,7 @@
 use modref_check::prelude::*;
 use modref_check::runner::CaseResult;
 use modref_graph::{
-    tarjan, Condensation, DiGraph, DirtySweep, DynCondensation, Levels, NodeId, SccId, SparseSweep,
+    tarjan, Condensation, DiGraph, DynCondensation, Levels, NodeId, SccId, SparseSweep,
 };
 
 /// Canonical partition: sorted member lists, sorted.
@@ -190,6 +190,123 @@ fn scratch_fixpoint(n: usize, g: &DiGraph, seeds: &[u64]) -> Vec<u64> {
         vals[c] = v;
     }
     vals
+}
+
+/// The dense oracle for [`SparseSweep`]: dirty-component bookkeeping for
+/// one successors-first sweep that visits *every* component of the
+/// condensation and asks "dirty or clean?".
+#[derive(Debug, Clone)]
+struct DirtySweep {
+    preds: Vec<Vec<SccId>>,
+    dirty: Vec<bool>,
+    reused: usize,
+    recomputed: usize,
+}
+
+impl DirtySweep {
+    /// Prepares a sweep over `condensed` (a [`Condensation::graph`],
+    /// though any acyclic [`DiGraph`] whose sweep order is
+    /// successors-first works). All components start clean.
+    fn new(condensed: &DiGraph) -> Self {
+        let mut preds = vec![Vec::new(); condensed.num_nodes()];
+        for e in condensed.edges() {
+            if e.from != e.to {
+                preds[e.to].push(e.from);
+            }
+        }
+        for p in &mut preds {
+            p.sort_unstable();
+            p.dedup();
+        }
+        DirtySweep {
+            preds,
+            dirty: vec![false; condensed.num_nodes()],
+            reused: 0,
+            recomputed: 0,
+        }
+    }
+
+    /// Marks `c` dirty before the sweep (its inputs changed).
+    fn seed(&mut self, c: SccId) {
+        self.dirty[c] = true;
+    }
+
+    /// Whether `c` must be recomputed when the sweep reaches it.
+    fn is_dirty(&self, c: SccId) -> bool {
+        self.dirty[c]
+    }
+
+    /// Records that dirty component `c` was recomputed; `changed` says
+    /// whether the new value differs from the cached one. On change,
+    /// every predecessor of `c` becomes dirty.
+    fn update(&mut self, c: SccId, changed: bool) {
+        self.recomputed += 1;
+        if changed {
+            for i in 0..self.preds[c].len() {
+                let p = self.preds[c][i];
+                self.dirty[p] = true;
+            }
+        }
+    }
+
+    /// Records that clean component `c` kept its cached value.
+    fn skip(&mut self, c: SccId) {
+        debug_assert!(!self.dirty[c], "skipped a dirty component");
+        self.reused += 1;
+    }
+
+    /// Number of components whose cached value was kept.
+    fn reused(&self) -> usize {
+        self.reused
+    }
+
+    /// Number of components recomputed.
+    fn recomputed(&self) -> usize {
+        self.recomputed
+    }
+}
+
+#[test]
+fn clean_graph_reuses_everything() {
+    let g = DiGraph::from_edges(4, [(3, 2), (2, 1), (1, 0)]);
+    let mut sweep = DirtySweep::new(&g);
+    for c in 0..4 {
+        assert!(!sweep.is_dirty(c));
+        sweep.skip(c);
+    }
+    assert_eq!(sweep.reused(), 4);
+    assert_eq!(sweep.recomputed(), 0);
+}
+
+#[test]
+fn unchanged_fixpoint_stops_propagation() {
+    // Diamond: 3 → {1, 2} → 0.
+    let g = DiGraph::from_edges(4, [(3, 1), (3, 2), (1, 0), (2, 0)]);
+    let mut sweep = DirtySweep::new(&g);
+    sweep.seed(0);
+    sweep.update(0, true); // 0 changed → 1 and 2 dirty
+    assert!(sweep.is_dirty(1) && sweep.is_dirty(2));
+    sweep.update(1, false); // 1's fixpoint survived …
+    sweep.update(2, false); // … and so did 2's
+    assert!(!sweep.is_dirty(3)); // → 3 is reused
+    sweep.skip(3);
+    assert_eq!((sweep.recomputed(), sweep.reused()), (3, 1));
+}
+
+#[test]
+fn parallel_edges_and_self_loops_dedup() {
+    let mut g = DiGraph::new(2);
+    g.add_edge(1, 0);
+    g.add_edge(1, 0); // parallel
+    g.add_edge(1, 1); // self-loop: a component never dirties itself
+    let mut sweep = DirtySweep::new(&g);
+    sweep.seed(0);
+    sweep.update(0, true);
+    assert!(sweep.is_dirty(1));
+    assert_eq!(sweep.preds[1], vec![] as Vec<SccId>); // self-loop excluded
+    assert_eq!(sweep.preds[0], vec![1]); // parallel edges deduplicated
+    sweep.update(1, true); // root change dirties nobody
+    assert_eq!(sweep.recomputed(), 2);
 }
 
 property! {

@@ -65,11 +65,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use modref_binding::BindingGraph;
 use modref_bitset::{BitSet, EffectSet, OpCounter};
-use modref_core::{solve_component, Analyzer};
+use modref_core::{compute_imod_plus_guarded, solve_component, Analyzer};
 use modref_graph::{DiGraph, DynCondensation, SccId, SparseSweep};
 use modref_guard::{Guard, Interrupt};
 use modref_ir::{
-    walk_stmts, Actual, CallGraph, CallSiteId, Edit, EditDelta, EditError, ProcId, Program, VarId,
+    walk_stmts, CallGraph, CallSiteId, Edit, EditDelta, EditError, ProcId, Program, VarId,
 };
 use modref_par::ThreadPool;
 use modref_trace::Trace;
@@ -436,7 +436,10 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
         edit: &Edit,
         guard: &Guard,
     ) -> Result<IncrOutcome, EditError> {
-        let (next, delta) = self.program.apply_edit(edit)?;
+        let (next, delta) = {
+            let _span = self.trace.span("incr.phase.edit");
+            self.program.apply_edit(edit)?
+        };
         self.program = next;
         match catch_unwind(AssertUnwindSafe(|| self.recompute(Some(&delta), guard))) {
             Ok(Ok(d)) => Ok(IncrOutcome::Clean(d)),
@@ -728,8 +731,8 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
         drop(phase_span);
         let phase_span = self.trace.span("incr.phase.plus");
         guard.checkpoint("incr.plus")?;
-        let plus_mod = compute_plus(program, &imod, &rmod, guard)?;
-        let plus_use = compute_plus(program, &iuse, &ruse, guard)?;
+        let (plus_mod, _) = compute_imod_plus_guarded(program, &imod, &rmod, guard)?;
+        let (plus_use, _) = compute_imod_plus_guarded(program, &iuse, &ruse, guard)?;
         let plus_mod_dirty =
             diff_procs(&plus_mod, old.as_ref().map(|o| o.plus_mod.as_slice()), &is_new_proc);
         let plus_use_dirty =
@@ -1414,37 +1417,6 @@ fn rmod_sweep_side<S: EffectSet>(
     Ok((seeds, rmod))
 }
 
-/// Equation (5), exactly as [`modref_core::compute_imod_plus`] computes
-/// it (`rmod[callee]` holding only own-formal bits makes the membership
-/// test equivalent to `RmodSolution::is_modified`).
-fn compute_plus<S: EffectSet>(
-    program: &Program,
-    initial: &[S],
-    rmod: &[S],
-    guard: &Guard,
-) -> Result<Vec<S>, Interrupt> {
-    let mut plus = initial.to_vec();
-    let mut steps = 0u64;
-    for s in program.sites() {
-        let site = program.site(s);
-        let caller = site.caller();
-        let callee = site.callee();
-        let callee_formals = program.proc_(callee).formals();
-        for (pos, arg) in site.args().iter().enumerate() {
-            steps += 1;
-            if !rmod[callee.index()].contains(callee_formals[pos].index()) {
-                continue;
-            }
-            if let Actual::Ref(r) = arg {
-                plus[caller.index()].insert(r.var.index());
-            }
-        }
-    }
-    guard.charge(0, steps);
-    guard.check()?;
-    Ok(plus)
-}
-
 /// `new[p] != old[p]` per procedure (new procedures always dirty; no old
 /// results means everything is; an old vector shorter than `new` — ids
 /// appended by the edit — dirties the tail).
@@ -1493,7 +1465,7 @@ fn run_batch<S: EffectSet>(
     };
     let mut work = OpCounter::new();
     for (slot, &c) in results.into_iter().zip(batch) {
-        let Some((sets, counter)) = slot else {
+        let Some(Ok((sets, counter))) = slot else {
             guard.check()?;
             return Err(guard.interrupt().unwrap_or(Interrupt::Halted));
         };
@@ -1583,7 +1555,7 @@ fn sweep_gmod_side<S: EffectSet>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use modref_ir::{Expr, ProgramBuilder};
+    use modref_ir::{Actual, Expr, ProgramBuilder};
 
     fn base_engine() -> (IncrementalEngine, VarId, VarId, ProcId, ProcId, CallSiteId) {
         let mut b = ProgramBuilder::new();

@@ -17,7 +17,7 @@
 //! Three layers:
 //!
 //! * [`engine`] — the cache, the dirty-set propagation over the two
-//!   condensations ([`modref_graph::DirtySweep`]), and the guarded apply
+//!   condensations ([`modref_graph::SparseSweep`]), and the guarded apply
 //!   path that degrades soundly (conservative sets, cache dropped) on a
 //!   budget trip or contained panic;
 //! * [`script`] — a tiny text format for edit scripts (`analyze --edits`

@@ -70,7 +70,4 @@ pub use bindfn::EdgeFn;
 pub use dependence::{definitely_disjoint, independent_across_iterations};
 pub use lattice::{Section, SubscriptPos};
 pub use parallel::{parallel_report, Blocker, LoopReport};
-pub use solve::{
-    analyze_sections, analyze_sections_guarded, analyze_sections_traced, solve_sections,
-    SectionSummary,
-};
+pub use solve::{analyze_sections, analyze_sections_traced, solve_sections, SectionSummary};

@@ -91,35 +91,29 @@ impl SectionSummary {
 /// Runs the full section analysis (both solvers, `MOD` and `USE` sides,
 /// and the per-site projection).
 pub fn analyze_sections(program: &Program) -> SectionSummary {
-    analyze_sections_guarded(program, &Guard::unlimited())
-        .expect("an unlimited guard cannot interrupt the solver")
+    analyze_sections_traced(
+        program,
+        &Guard::unlimited(),
+        &modref_trace::Trace::disabled(),
+    )
+    .expect("an unlimited guard cannot interrupt the solver")
 }
 
-/// [`analyze_sections`] under a cooperative [`Guard`]: the guard is polled
-/// at every stage boundary and on inner-loop strides, with lattice meets
-/// charged as bit-vector steps (a meet is a whole-descriptor operation,
-/// the §6 cost unit).
+/// [`analyze_sections`] under a cooperative [`Guard`], recording into
+/// `trace`.
+///
+/// The guard is polled at every stage boundary and on inner-loop
+/// strides, with lattice meets charged as bit-vector steps (a meet is a
+/// whole-descriptor operation, the §6 cost unit). The trace gets a
+/// `sections` span (annotated with the total meet count) and one
+/// sub-span per solver stage — `sections.local`, `sections.formals`,
+/// `sections.globals`, `sections.sites`. Identical output; tracing only
+/// observes.
 ///
 /// # Errors
 ///
 /// Returns the guard's [`Interrupt`] if a deadline, budget, or
 /// cancellation trips mid-analysis; partial stage results are discarded.
-pub fn analyze_sections_guarded(
-    program: &Program,
-    guard: &Guard,
-) -> Result<SectionSummary, Interrupt> {
-    analyze_sections_traced(program, guard, &modref_trace::Trace::disabled())
-}
-
-/// [`analyze_sections_guarded`] recording a `sections` span (annotated
-/// with the total meet count) and one sub-span per solver stage —
-/// `sections.local`, `sections.formals`, `sections.globals`,
-/// `sections.sites` — into `trace`. Identical output; tracing only
-/// observes.
-///
-/// # Errors
-///
-/// As for [`analyze_sections_guarded`].
 pub fn analyze_sections_traced(
     program: &Program,
     guard: &Guard,

@@ -39,6 +39,12 @@ echo "ok"
 echo "== build (release, offline) =="
 cargo build --release --offline
 
+# `cargo test` never compiles `[[bench]]` targets and this script runs
+# only three of them, so a change that breaks another bench, example or
+# test target would otherwise go unseen. Type-check every target.
+echo "== check every target (offline) =="
+cargo check --offline --workspace --all-targets
+
 # The benchmark is its own Cargo workspace, so the build above does not
 # compile it. Building it here makes a change to the library surface it
 # calls (SiteSets, the renderers, the serve client) fail CI instead of

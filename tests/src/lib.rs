@@ -6,8 +6,8 @@
 //! per-site `DMOD` — for both the `MOD` and `USE` problems.
 
 use modref_baselines::OracleSolution;
-use modref_core::{Analyzer, GmodAlgorithm, Summary};
-use modref_ir::{LocalEffects, Program};
+use modref_core::{solve_gmod_multi_naive, Analyzer, BitSet, GmodAlgorithm, Summary};
+use modref_ir::{CallGraph, LocalEffects, Program};
 
 /// Runs the pipeline with the given `GMOD` algorithm and compares every
 /// set against the oracle.
@@ -34,6 +34,22 @@ fn compare_half(
     algorithm: GmodAlgorithm,
 ) {
     let side = if is_mod { "MOD" } else { "USE" };
+    let plus: Vec<BitSet> = program
+        .procs()
+        .map(|p| {
+            if is_mod {
+                summary.imod_plus(p).clone()
+            } else {
+                summary.iuse_plus(p).clone()
+            }
+        })
+        .collect();
+    let naive = solve_gmod_multi_naive(
+        program,
+        CallGraph::build(program).graph(),
+        &plus,
+        &program.local_sets(),
+    );
     for p in program.procs() {
         let fast = if is_mod {
             summary.gmod(p)
@@ -44,6 +60,13 @@ fn compare_half(
             fast,
             oracle.gmod(p),
             "{side}: G{side} mismatch at {p} ({}) with {algorithm:?}\nprogram:\n{}",
+            program.proc_name(p),
+            program.to_source()
+        );
+        assert_eq!(
+            naive.gmod(p),
+            oracle.gmod(p),
+            "{side}: naive multi-level G{side} mismatch at {p} ({})\nprogram:\n{}",
             program.proc_name(p),
             program.to_source()
         );
@@ -75,12 +98,11 @@ fn compare_half(
     }
 }
 
-/// The algorithms every program is checked under.
+/// The algorithms every program is checked under. The naive multi-level
+/// reference, which no algorithm setting selects, is checked by every
+/// [`assert_pipeline_matches_oracle`] call instead.
 pub fn all_algorithms(program: &Program) -> Vec<GmodAlgorithm> {
-    let mut algs = vec![
-        GmodAlgorithm::MultiLevelNaive,
-        GmodAlgorithm::MultiLevelFused,
-    ];
+    let mut algs = vec![GmodAlgorithm::MultiLevelFused];
     if program.max_level() <= 1 {
         algs.push(GmodAlgorithm::OneLevel);
     }
