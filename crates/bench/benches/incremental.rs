@@ -45,7 +45,9 @@ fn main() {
             engine.apply(&edit).expect("edit applies");
             engine.program().clone()
         };
-        group.bench("edit_full_reanalysis", n, || Analyzer::new().analyze(&edited));
+        group.bench("edit_full_reanalysis", n, || {
+            Analyzer::new().analyze(&edited)
+        });
     }
     group.finish();
 }

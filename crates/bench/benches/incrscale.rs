@@ -21,7 +21,10 @@ use modref_progen::{generate, GenConfig};
 /// other's effect sets, so applying them alternately keeps the program
 /// bounded while exercising the full invalidation path every time.
 fn toggle_edits(program: &Program) -> (Edit, Edit) {
-    let p = program.procs().nth(1).expect("generated programs have procs");
+    let p = program
+        .procs()
+        .nth(1)
+        .expect("generated programs have procs");
     let pool: Vec<VarId> = program
         .visible_set(p)
         .iter()

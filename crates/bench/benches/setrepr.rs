@@ -44,11 +44,7 @@ fn element_rows(universe: usize, density: f64, seed: u64) -> Vec<Vec<usize>> {
     let per_row = ((universe as f64 * density) as usize).max(1);
     let mut rng = Rng::seed_from_u64(seed);
     (0..ROWS)
-        .map(|_| {
-            (0..per_row)
-                .map(|_| rng.gen_range(0..universe))
-                .collect()
-        })
+        .map(|_| (0..per_row).map(|_| rng.gen_range(0..universe)).collect())
         .collect()
 }
 

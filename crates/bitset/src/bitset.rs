@@ -562,7 +562,10 @@ mod tests {
     fn try_ops_report_domain_mismatch() {
         let mut a = BitSet::new(64);
         let b = BitSet::new(65);
-        let err = DomainMismatch { left: 64, right: 65 };
+        let err = DomainMismatch {
+            left: 64,
+            right: 65,
+        };
         assert_eq!(a.try_union_with(&b), Err(err));
         assert_eq!(a.try_intersect_with(&b), Err(err));
         assert_eq!(a.try_difference_with(&b), Err(err));

@@ -349,8 +349,7 @@ impl SetRepr {
             SetRepr::Dense => false,
             SetRepr::Hybrid => true,
             SetRepr::Auto => {
-                domain > AUTO_DENSE_DOMAIN
-                    && expected_len.is_none_or(|l| l <= AUTO_SMALL_LEN)
+                domain > AUTO_DENSE_DOMAIN && expected_len.is_none_or(|l| l <= AUTO_SMALL_LEN)
             }
         }
     }

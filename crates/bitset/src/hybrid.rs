@@ -24,7 +24,7 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use crate::{BitSet, EffectSet, DomainMismatch, WORD_BITS};
+use crate::{BitSet, DomainMismatch, EffectSet, WORD_BITS};
 
 /// Maximum number of spilled (`>= 64`) elements held inline before a
 /// [`HybridSet`] promotes to the dense representation.
@@ -151,10 +151,9 @@ impl PartialEq for HybridSet {
             return false;
         }
         match (&self.repr, &other.repr) {
-            (
-                Repr::Small { low: a, spill: sa },
-                Repr::Small { low: b, spill: sb },
-            ) => a == b && sa == sb,
+            (Repr::Small { low: a, spill: sa }, Repr::Small { low: b, spill: sb }) => {
+                a == b && sa == sb
+            }
             (Repr::Dense(a), Repr::Dense(b)) => a == b,
             // Mixed representation states: canonical element comparison.
             _ => self.len() == other.len() && self.iter().eq(other.iter()),
@@ -236,7 +235,11 @@ impl EffectSet for HybridSet {
     }
 
     fn insert(&mut self, x: usize) -> bool {
-        assert!(x < self.domain, "element {x} out of universe 0..{}", self.domain);
+        assert!(
+            x < self.domain,
+            "element {x} out of universe 0..{}",
+            self.domain
+        );
         let fresh = match &mut self.repr {
             Repr::Small { low, spill } => {
                 if x < INLINE_BITS {
@@ -264,7 +267,11 @@ impl EffectSet for HybridSet {
     }
 
     fn remove(&mut self, x: usize) -> bool {
-        assert!(x < self.domain, "element {x} out of universe 0..{}", self.domain);
+        assert!(
+            x < self.domain,
+            "element {x} out of universe 0..{}",
+            self.domain
+        );
         match &mut self.repr {
             Repr::Small { low, spill } => {
                 if x < INLINE_BITS {
@@ -762,7 +769,10 @@ mod tests {
         let b = HybridSet::empty(11);
         assert_eq!(
             a.try_union_with(&b),
-            Err(DomainMismatch { left: 10, right: 11 })
+            Err(DomainMismatch {
+                left: 10,
+                right: 11
+            })
         );
         let c = HybridSet::from_elems(10, [4usize]);
         assert_eq!(a.try_union_with(&c), Ok(true));

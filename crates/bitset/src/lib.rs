@@ -49,9 +49,7 @@ mod matrix;
 
 pub use bitset::{BitSet, Iter};
 pub use counter::OpCounter;
-pub use effect::{
-    DomainMismatch, EffectSet, SetRepr, AUTO_DENSE_DOMAIN, AUTO_SMALL_LEN,
-};
+pub use effect::{DomainMismatch, EffectSet, SetRepr, AUTO_DENSE_DOMAIN, AUTO_SMALL_LEN};
 pub use hybrid::{HybridIter, HybridSet, DENSITY_DIV, INLINE_BITS, SPILL_MAX};
 pub use matrix::SetMatrix;
 

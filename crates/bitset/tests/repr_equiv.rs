@@ -9,9 +9,7 @@
 //! promotion thresholds exactly at K = `SPILL_MAX`, K+1, and the density
 //! cutoff ±1.
 
-use modref_bitset::{
-    BitSet, EffectSet, HybridSet, SetMatrix, DENSITY_DIV, INLINE_BITS, SPILL_MAX,
-};
+use modref_bitset::{BitSet, EffectSet, HybridSet, SetMatrix, DENSITY_DIV, INLINE_BITS, SPILL_MAX};
 use modref_check::prelude::*;
 
 /// Universes straddling the word boundary, the inline cutoff, and sizes
@@ -61,7 +59,11 @@ fn apply<S: EffectSet>(set: &mut S, domain: usize, op: &Op) -> (bool, usize) {
 fn check_invariants(h: &HybridSet, domain: usize) -> Result<(), String> {
     if !h.is_dense_repr() {
         if h.spill_len() > SPILL_MAX {
-            return Err(format!("unpromoted spill {} > {}", h.spill_len(), SPILL_MAX));
+            return Err(format!(
+                "unpromoted spill {} > {}",
+                h.spill_len(),
+                SPILL_MAX
+            ));
         }
         if domain > INLINE_BITS && h.len() * DENSITY_DIV >= domain {
             return Err(format!(
@@ -264,7 +266,10 @@ fn density_cutoff_exact_boundary() {
         // Hold the set below the spill cap so only density can promote.
         assert!(cutoff - 1 <= INLINE_BITS, "test premise at domain {domain}");
         s.insert(INLINE_BITS);
-        assert!(s.is_dense_repr(), "domain {domain}: cutoff ({cutoff}) promotes");
+        assert!(
+            s.is_dense_repr(),
+            "domain {domain}: cutoff ({cutoff}) promotes"
+        );
 
         let below = BitSet::from_iter_with_domain(domain, 0..cutoff - 1);
         assert!(!HybridSet::from_dense(&below).is_dense_repr());

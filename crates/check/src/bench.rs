@@ -126,7 +126,10 @@ fn default_bench_dir() -> String {
     let mut dir = cwd.as_path();
     loop {
         if dir.join("Cargo.lock").exists() || dir.join("target").is_dir() {
-            return dir.join("target/modref-bench").to_string_lossy().into_owned();
+            return dir
+                .join("target/modref-bench")
+                .to_string_lossy()
+                .into_owned();
         }
         match dir.parent() {
             Some(parent) => dir = parent,
@@ -382,7 +385,10 @@ mod tests {
         for (raw, escaped) in table {
             let json = result_with_param(raw).to_json();
             let want = format!("\"param\":\"{escaped}\"");
-            assert!(json.contains(&want), "param {raw:?}: missing {want} in {json}");
+            assert!(
+                json.contains(&want),
+                "param {raw:?}: missing {want} in {json}"
+            );
             assert!(
                 !json.bytes().any(|b| b < 0x20),
                 "param {raw:?}: raw control byte leaked into {json:?}"
@@ -454,8 +460,7 @@ mod tests {
 
     #[test]
     fn finish_with_trace_writes_span_summary_next_to_results() {
-        let dir =
-            std::env::temp_dir().join(format!("modref-bench-trace-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("modref-bench-trace-{}", std::process::id()));
         let opts = BenchOptions {
             dir: Some(dir.to_string_lossy().into_owned()),
             quick: true,

@@ -53,7 +53,5 @@ pub mod prelude {
         any_u64, arbitrary_text, custom, element_of, ints, ints_inclusive, just, one_of,
         string_from, vec_of, weighted, BoxedStrategy, Strategy,
     };
-    pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, property, Rng,
-    };
+    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, property, Rng};
 }

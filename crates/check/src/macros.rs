@@ -118,7 +118,9 @@ macro_rules! prop_assert_ne {
         if l == r {
             return $crate::runner::CaseResult::Fail(format!(
                 "assertion failed: `{} != {}`\n  both: {:?}",
-                stringify!($left), stringify!($right), l
+                stringify!($left),
+                stringify!($right),
+                l
             ));
         }
     }};

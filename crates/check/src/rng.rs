@@ -50,16 +50,18 @@ impl Rng {
     #[must_use]
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut mix = SplitMix64::new(seed);
-        let s = [mix.next_u64(), mix.next_u64(), mix.next_u64(), mix.next_u64()];
+        let s = [
+            mix.next_u64(),
+            mix.next_u64(),
+            mix.next_u64(),
+            mix.next_u64(),
+        ];
         Self { s }
     }
 
     /// Returns the next 64 bits of the stream.
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
+        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];

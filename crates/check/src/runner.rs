@@ -41,7 +41,10 @@ pub struct Config {
 
 impl Default for Config {
     fn default() -> Self {
-        Self { cases: 256, max_shrink_steps: 2048 }
+        Self {
+            cases: 256,
+            max_shrink_steps: 2048,
+        }
     }
 }
 
@@ -49,7 +52,10 @@ impl Config {
     /// A config running `cases` cases.
     #[must_use]
     pub fn with_cases(cases: u32) -> Self {
-        Self { cases, ..Self::default() }
+        Self {
+            cases,
+            ..Self::default()
+        }
     }
 }
 
@@ -193,7 +199,7 @@ fn shrink_failure<S, F>(
     test: &F,
     mut value: S::Value,
     mut message: String,
-    ) -> (S::Value, String, u32)
+) -> (S::Value, String, u32)
 where
     S: Strategy,
     F: Fn(&S::Value) -> CaseResult,

@@ -72,17 +72,26 @@ impl<V: Clone + Debug> Strategy for BoxedStrategy<V> {
 /// Uniform integers in `range` (`lo..hi` or `lo..=hi`), shrinking toward
 /// the range's low end by exponential halving.
 pub fn ints<T: UniformInt + Shrinkable>(range: Range<T>) -> IntStrategy<T> {
-    IntStrategy { lo: range.start, hi: range.end.prev(), }
+    IntStrategy {
+        lo: range.start,
+        hi: range.end.prev(),
+    }
 }
 
 /// Inclusive-range variant of [`ints`].
 pub fn ints_inclusive<T: UniformInt + Shrinkable>(range: RangeInclusive<T>) -> IntStrategy<T> {
-    IntStrategy { lo: *range.start(), hi: *range.end() }
+    IntStrategy {
+        lo: *range.start(),
+        hi: *range.end(),
+    }
 }
 
 /// Any `u64`: seeds, hash inputs, etc. Shrinks toward 0.
 pub fn any_u64() -> IntStrategy<u64> {
-    IntStrategy { lo: 0, hi: u64::MAX }
+    IntStrategy {
+        lo: 0,
+        hi: u64::MAX,
+    }
 }
 
 /// Integer ops the shrinker needs, kept off the public `Rng` surface.
@@ -151,7 +160,11 @@ impl<T: UniformInt + Shrinkable + Debug> Strategy for IntStrategy<T> {
 /// workhorse collection strategy. Shrinks by removing chunks (halves
 /// first, then single elements) and then by shrinking elements in place.
 pub fn vec_of<S: Strategy>(elem: S, len: Range<usize>) -> VecStrategy<S> {
-    VecStrategy { elem, min_len: len.start, max_len: len.end.saturating_sub(1) }
+    VecStrategy {
+        elem,
+        min_len: len.start,
+        max_len: len.end.saturating_sub(1),
+    }
 }
 
 /// See [`vec_of`].

@@ -44,7 +44,10 @@ fn modref_seed_overrides_and_replays_exactly() {
 
     std::env::remove_var("MODREF_SEED");
     let after = record("p");
-    assert_eq!(default_run, after, "removing the override restores the default");
+    assert_eq!(
+        default_run, after,
+        "removing the override restores the default"
+    );
 
     // MODREF_CASES scales the case count.
     std::env::set_var("MODREF_CASES", "7");

@@ -166,8 +166,8 @@ fn serve(
         trace: Trace::disabled(),
         set_repr,
     };
-    let server = modref_serve::Server::bind(addr, cfg)
-        .map_err(|e| format!("cannot bind `{addr}`: {e}"))?;
+    let server =
+        modref_serve::Server::bind(addr, cfg).map_err(|e| format!("cannot bind `{addr}`: {e}"))?;
     // The listen line first — tools watching stderr key on it — then the
     // recovery summary, when there was anything to recover.
     eprintln!("modref-serve listening on {}", server.local_addr());
@@ -200,8 +200,8 @@ fn client(
     retry_base_ms: u64,
 ) -> Result<RunStatus, Box<dyn Error>> {
     let addr = parse_addr(addr)?;
-    let text = fs::read_to_string(script_path)
-        .map_err(|e| format!("cannot read `{script_path}`: {e}"))?;
+    let text =
+        fs::read_to_string(script_path).map_err(|e| format!("cannot read `{script_path}`: {e}"))?;
     let base = std::path::Path::new(script_path)
         .parent()
         .filter(|p| !p.as_os_str().is_empty())
@@ -393,7 +393,12 @@ fn analyze(
     );
     let (bn, be) = summary.beta_size();
     println!("binding multi-graph: {bn} nodes, {be} edges\n");
-    print_site_report(&program, &SiteSets::from_summary(&program, &summary), no_use, no_alias);
+    print_site_report(
+        &program,
+        &SiteSets::from_summary(&program, &summary),
+        no_use,
+        no_alias,
+    );
     Ok(status)
 }
 
@@ -521,8 +526,8 @@ fn analyze_edits_in<S: modref_core::EffectSet>(
     metrics: bool,
     trace: &Trace,
 ) -> Result<RunStatus, Box<dyn Error>> {
-    let text = fs::read_to_string(script_path)
-        .map_err(|e| format!("cannot read `{script_path}`: {e}"))?;
+    let text =
+        fs::read_to_string(script_path).map_err(|e| format!("cannot read `{script_path}`: {e}"))?;
     let script = Script::parse(&text).map_err(|e| format!("{script_path}: {e}"))?;
 
     let mut analyzer = Analyzer::new();
@@ -538,9 +543,12 @@ fn analyze_edits_in<S: modref_core::EffectSet>(
         let edit = step
             .resolve(engine.program())
             .map_err(|e| format!("{script_path}: {e}"))?;
-        let outcome = engine
-            .apply_guarded(&edit, &guard)
-            .map_err(|e| format!("{script_path}: script line {}: edit rejected: {e}", step.line))?;
+        let outcome = engine.apply_guarded(&edit, &guard).map_err(|e| {
+            format!(
+                "{script_path}: script line {}: edit rejected: {e}",
+                step.line
+            )
+        })?;
         if let IncrOutcome::Degraded { reason } = &outcome {
             eprintln!(
                 "warning: edit #{k} ({script_path}:{}) degraded: {reason}",
@@ -588,10 +596,7 @@ fn analyze_edits_in<S: modref_core::EffectSet>(
         program.num_sites(),
         program.num_vars()
     );
-    println!(
-        "after {} edits from {script_path}\n",
-        script.steps().len()
-    );
+    println!("after {} edits from {script_path}\n", script.steps().len());
     print_site_report(program, &sets, no_use, no_alias);
     Ok(status)
 }

@@ -232,14 +232,11 @@ impl Command {
                         }
                         "--threads" => {
                             let v = it.next().ok_or("--threads needs a value")?;
-                            let n: usize =
-                                v.parse().map_err(|_| format!("bad --threads `{v}`"))?;
+                            let n: usize = v.parse().map_err(|_| format!("bad --threads `{v}`"))?;
                             if n == 0 {
-                                return Err(
-                                    "--threads must be at least 1 \
+                                return Err("--threads must be at least 1 \
                                      (set MODREF_THREADS=0 for one worker per core)"
-                                        .into(),
-                                );
+                                    .into());
                             }
                             threads = Some(n);
                         }
@@ -440,14 +437,11 @@ impl Command {
                         }
                         "--threads" => {
                             let v = it.next().ok_or("--threads needs a value")?;
-                            let n: usize =
-                                v.parse().map_err(|_| format!("bad --threads `{v}`"))?;
+                            let n: usize = v.parse().map_err(|_| format!("bad --threads `{v}`"))?;
                             if n == 0 {
-                                return Err(
-                                    "--threads must be at least 1 \
+                                return Err("--threads must be at least 1 \
                                      (set MODREF_THREADS=0 for one worker per core)"
-                                        .into(),
-                                );
+                                    .into());
                             }
                             threads = Some(n);
                         }
@@ -485,16 +479,15 @@ impl Command {
                             let v = it.next().ok_or("--retries needs a value")?;
                             let n: u32 = v.parse().map_err(|_| format!("bad --retries `{v}`"))?;
                             if n == 0 {
-                                return Err(
-                                    "--retries must be at least 1 (1 = no retries)".into()
-                                );
+                                return Err("--retries must be at least 1 (1 = no retries)".into());
                             }
                             retries = n;
                         }
                         "--retry-base-ms" => {
                             let v = it.next().ok_or("--retry-base-ms needs a value")?;
-                            retry_base_ms =
-                                v.parse().map_err(|_| format!("bad --retry-base-ms `{v}`"))?;
+                            retry_base_ms = v
+                                .parse()
+                                .map_err(|_| format!("bad --retry-base-ms `{v}`"))?;
                         }
                         flag if flag.starts_with('-') => {
                             return Err(format!("unknown flag `{flag}`"))
@@ -626,8 +619,15 @@ mod tests {
 
     #[test]
     fn analyze_budget_flags() {
-        let cmd = parse(&["analyze", "x.mp", "--timeout-ms", "250", "--budget-ops", "9000"])
-            .expect("parses");
+        let cmd = parse(&[
+            "analyze",
+            "x.mp",
+            "--timeout-ms",
+            "250",
+            "--budget-ops",
+            "9000",
+        ])
+        .expect("parses");
         assert_eq!(
             cmd,
             Command::Analyze {
@@ -667,8 +667,7 @@ mod tests {
 
     #[test]
     fn analyze_trace_and_metrics() {
-        let cmd = parse(&["analyze", "x.mp", "--trace", "out.json", "--metrics"])
-            .expect("parses");
+        let cmd = parse(&["analyze", "x.mp", "--trace", "out.json", "--metrics"]).expect("parses");
         match cmd {
             Command::Analyze { trace, metrics, .. } => {
                 assert_eq!(trace.as_deref(), Some("out.json"));
@@ -870,9 +869,11 @@ mod tests {
         assert!(parse(&["client", "--addr", "x:1"])
             .unwrap_err()
             .contains("missing drive script"));
-        assert!(parse(&["client", "--addr", "x:1", "d.txt", "--retries", "0"])
-            .unwrap_err()
-            .contains("--retries must be at least 1"));
+        assert!(
+            parse(&["client", "--addr", "x:1", "d.txt", "--retries", "0"])
+                .unwrap_err()
+                .contains("--retries must be at least 1")
+        );
     }
 
     #[test]

@@ -81,7 +81,9 @@ impl ServeProc {
         let mut child = cmd.spawn().expect("serve spawns");
         let mut stderr = BufReader::new(child.stderr.take().expect("stderr is piped"));
         let mut line = String::new();
-        stderr.read_line(&mut line).expect("serve prints its listen line");
+        stderr
+            .read_line(&mut line)
+            .expect("serve prints its listen line");
         assert!(
             line.starts_with("modref-serve listening on "),
             "unexpected startup line: {line:?}"
@@ -92,7 +94,11 @@ impl ServeProc {
             .next()
             .expect("listen line ends with the address")
             .to_string();
-        ServeProc { child, addr, stderr }
+        ServeProc {
+            child,
+            addr,
+            stderr,
+        }
     }
 
     fn next_stderr_line(&mut self) -> String {
@@ -186,7 +192,10 @@ fn crash_recover_verify(tag: &str, spec: &str, durable: usize, expect_torn: bool
         "{tag}: unexpected recovery summary: {summary:?}"
     );
     let torn = summary.contains("1 torn tails truncated");
-    assert_eq!(torn, expect_torn, "{tag}: torn-tail accounting: {summary:?}");
+    assert_eq!(
+        torn, expect_torn,
+        "{tag}: torn-tail accounting: {summary:?}"
+    );
 
     let out = run_client(&server.addr, &dir, "query s all\n");
     assert_eq!(

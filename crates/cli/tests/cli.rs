@@ -210,7 +210,10 @@ fn threads_zero_is_a_usage_error() {
         .expect("runs");
     assert_eq!(out.status.code(), Some(2), "exit code");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--threads must be at least 1"), "stderr: {err}");
+    assert!(
+        err.contains("--threads must be at least 1"),
+        "stderr: {err}"
+    );
     assert!(err.contains("MODREF_THREADS=0"), "stderr: {err}");
     assert!(err.contains("usage:"), "stderr: {err}");
 }
@@ -265,8 +268,13 @@ fn trace_flag_emits_valid_chrome_json() {
     );
     let report = String::from_utf8_lossy(&check.stdout);
     assert!(report.contains("valid trace"), "{report}");
-    for phase in ["analyze", "frontend", "local", "rmod", "gmod", "dmod", "modsets"] {
-        assert!(report.contains(phase), "missing span `{phase}` in:\n{report}");
+    for phase in [
+        "analyze", "frontend", "local", "rmod", "gmod", "dmod", "modsets",
+    ] {
+        assert!(
+            report.contains(phase),
+            "missing span `{phase}` in:\n{report}"
+        );
     }
     std::fs::remove_file(&trace_path).ok();
 }

@@ -80,7 +80,8 @@ fn run_client(server: &ServeProc, dir: &Path, script: &str) -> Output {
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("modref-serve-golden-{tag}-{}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("modref-serve-golden-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir creates");
     dir
@@ -137,7 +138,12 @@ fn client_query_after_edits_matches_analyze_edits_json() {
         "--edits",
         dir.join("delta.edits").to_str().expect("utf-8"),
     ]);
-    assert_eq!(batch.status.code(), Some(0), "stderr: {}", stderr_str(&batch));
+    assert_eq!(
+        batch.status.code(),
+        Some(0),
+        "stderr: {}",
+        stderr_str(&batch)
+    );
     assert_eq!(
         out.stdout, batch.stdout,
         "served post-edit report differs from `analyze --edits`"

@@ -188,7 +188,11 @@ impl<S: EffectSet> DemandMemoIn<S> {
     /// snapshot the memo was built for.
     pub fn after_body_edit(&mut self, program: &Program, touched: &[ProcId]) {
         assert_eq!(self.flat.len(), program.num_procs(), "stale demand memo");
-        debug_assert_eq!(self.num_vars, program.num_vars(), "a body edit keeps the universe");
+        debug_assert_eq!(
+            self.num_vars,
+            program.num_vars(),
+            "a body edit keeps the universe"
+        );
         for &p in touched {
             self.flat[p.index()] = None;
             let mut next = Some(p);
@@ -588,9 +592,7 @@ impl<'a, S: EffectSet> Demand<'a, S> {
         self.ensure_ext(side, u)?;
         let program = self.program;
         let cg = self.call_graph();
-        let mut set = self.memo.ext[side.idx()][u]
-            .clone()
-            .expect("just ensured");
+        let mut set = self.memo.ext[side.idx()][u].clone().expect("just ensured");
         for &(_, e) in cg.graph().successors_slice(u) {
             self.ops.edges_visited += 1;
             fold_site(program, CallSiteId::new(e), &mut set, |_, formal| {
@@ -810,9 +812,7 @@ impl<'a, S: EffectSet> Demand<'a, S> {
             self.memo.total[side.idx()][p] = self.memo.rows[side.idx()][0][p].clone();
         } else {
             self.ensure_plus(side, p)?;
-            let mut acc = self.memo.plus[side.idx()][p]
-                .clone()
-                .expect("just ensured");
+            let mut acc = self.memo.plus[side.idx()][p].clone().expect("just ensured");
             for i in 1..=dp {
                 self.problem_row(side, i, p)?;
                 acc.union_with(self.memo.rows[side.idx()][i][p].as_ref().expect("ensured"));
@@ -856,10 +856,10 @@ impl<'a, S: EffectSet> Demand<'a, S> {
             }
         }
         self.settle()?;
-        let items = self
-            .memo
-            .aliases
-            .solve_closure_guarded(self.program, &in_closure, self.guard)?;
+        let items =
+            self.memo
+                .aliases
+                .solve_closure_guarded(self.program, &in_closure, self.guard)?;
         // The worklist charged the guard itself (one boolean step per
         // seeded site or propagated pair); record the same work in this
         // query's ledger without double-charging.
@@ -886,16 +886,16 @@ mod tests {
         let guard = Guard::unlimited();
         let trace = modref_trace::Trace::disabled();
         for s in program.sites() {
-            let (ans, _) = query_site_guarded(program, &mut memo, s, &guard, &trace)
-                .expect("unlimited guard");
+            let (ans, _) =
+                query_site_guarded(program, &mut memo, s, &guard, &trace).expect("unlimited guard");
             assert_eq!(&ans.mods, summary.mod_site(s), "MOD({s}) differs");
             assert_eq!(&ans.uses, summary.use_site(s), "USE({s}) differs");
             assert_eq!(&ans.dmod, summary.dmod_site(s), "DMOD({s}) differs");
             assert_eq!(&ans.duse, summary.duse_site(s), "DUSE({s}) differs");
         }
         for p in program.procs() {
-            let (ans, _) = query_proc_guarded(program, &mut memo, p, &guard, &trace)
-                .expect("unlimited guard");
+            let (ans, _) =
+                query_proc_guarded(program, &mut memo, p, &guard, &trace).expect("unlimited guard");
             assert_eq!(&ans.gmod, summary.gmod(p), "GMOD({p}) differs");
             assert_eq!(&ans.guse, summary.guse(p), "GUSE({p}) differs");
         }
@@ -1038,9 +1038,8 @@ mod tests {
 
         // The same memo answers exactly once the pressure is gone.
         let summary = Analyzer::new().analyze(&program);
-        let (ans, _) =
-            query_site_guarded(&program, &mut memo, s, &Guard::unlimited(), &trace)
-                .expect("unlimited");
+        let (ans, _) = query_site_guarded(&program, &mut memo, s, &Guard::unlimited(), &trace)
+            .expect("unlimited");
         assert_eq!(&ans.mods, summary.mod_site(s));
     }
 }

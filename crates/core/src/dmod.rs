@@ -98,15 +98,19 @@ pub fn compute_dmod_guarded<S: EffectSet>(
         }
         v
     } else {
-        let slots = pool.par_map_while(program.num_sites(), || !guard.should_stop(), |i| {
-            if i % 64 == 0 {
-                guard.charge(64.min(program.num_sites() - i) as u64, 0);
-                let _ = guard.check();
-            }
-            let s = CallSiteId::new(i);
-            let callee = program.site(s).callee();
-            project_site(program, s, &gmod[callee.index()])
-        });
+        let slots = pool.par_map_while(
+            program.num_sites(),
+            || !guard.should_stop(),
+            |i| {
+                if i % 64 == 0 {
+                    guard.charge(64.min(program.num_sites() - i) as u64, 0);
+                    let _ = guard.check();
+                }
+                let s = CallSiteId::new(i);
+                let callee = program.site(s).callee();
+                project_site(program, s, &gmod[callee.index()])
+            },
+        );
         let mut v = Vec::with_capacity(slots.len());
         for slot in slots {
             match slot {

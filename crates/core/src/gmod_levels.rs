@@ -389,8 +389,8 @@ pub(crate) fn close_component<'a, S: EffectSet + 'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use modref_bitset::BitSet;
     use modref_binding::{solve_rmod, BindingGraph};
+    use modref_bitset::BitSet;
     use modref_ir::{CallGraph, Expr, LocalEffects, ProgramBuilder};
 
     fn pipeline_inputs(b: &ProgramBuilder) -> (Program, DiGraph, Vec<BitSet>, Vec<BitSet>) {

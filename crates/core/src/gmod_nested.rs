@@ -278,9 +278,9 @@ pub fn solve_gmod_multi_fused_guarded<S: EffectSet>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use modref_bitset::BitSet;
     use crate::gmod::GmodSolution;
     use modref_binding::{solve_rmod, BindingGraph};
+    use modref_bitset::BitSet;
     use modref_ir::{CallGraph, Expr, LocalEffects, ProgramBuilder};
 
     fn pipeline_inputs(b: &ProgramBuilder) -> (Program, DiGraph, Vec<BitSet>, Vec<BitSet>) {

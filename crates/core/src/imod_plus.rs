@@ -134,8 +134,8 @@ pub(crate) fn fold_site<S: EffectSet>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use modref_bitset::BitSet;
     use modref_binding::{solve_rmod, BindingGraph};
+    use modref_bitset::BitSet;
     use modref_ir::{Expr, LocalEffects, ProgramBuilder, Ref};
 
     fn plus_sets(b: &ProgramBuilder) -> (Program, Vec<BitSet>) {

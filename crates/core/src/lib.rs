@@ -70,13 +70,13 @@ pub use demand::{
     conservative_proc_answer, conservative_site_answer, query_proc_guarded, query_site_guarded,
     DemandMemo, ProcAnswer, Side, SiteAnswer,
 };
+pub use dmod::{DmodSolution, DmodSolutionIn};
 pub use gmod::{solve_gmod_one_level, solve_gmod_one_level_guarded, GmodSolution, GmodSolutionIn};
 pub use gmod_levels::{solve_component, solve_gmod_levels, solve_gmod_levels_traced};
 pub use gmod_nested::{
     solve_gmod_multi_fused, solve_gmod_multi_fused_guarded, solve_gmod_multi_naive,
 };
 pub use imod_plus::{compute_imod_plus, compute_imod_plus_guarded};
-pub use dmod::{DmodSolution, DmodSolutionIn};
 pub use modsets::{ModSolution, ModSolutionIn};
 pub use pipeline::{
     AnalysisOutcome, Analyzer, DegradeReason, GmodAlgorithm, Phase, PhaseMask, PhaseStats,

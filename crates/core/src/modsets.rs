@@ -97,15 +97,19 @@ pub fn compute_mod_guarded<S: EffectSet>(
         }
         v
     } else {
-        let slots = pool.par_map_while(program.num_sites(), || !guard.should_stop(), |i| {
-            if i % 64 == 0 {
-                guard.charge(64.min(program.num_sites() - i) as u64, 0);
-                let _ = guard.check();
-            }
-            let s = CallSiteId::new(i);
-            let caller = program.site(s).caller();
-            aliases.extend_with_aliases(caller, dmod.dmod_site(s))
-        });
+        let slots = pool.par_map_while(
+            program.num_sites(),
+            || !guard.should_stop(),
+            |i| {
+                if i % 64 == 0 {
+                    guard.charge(64.min(program.num_sites() - i) as u64, 0);
+                    let _ = guard.check();
+                }
+                let s = CallSiteId::new(i);
+                let caller = program.site(s).caller();
+                aliases.extend_with_aliases(caller, dmod.dmod_site(s))
+            },
+        );
         let mut v = Vec::with_capacity(slots.len());
         for slot in slots {
             match slot {

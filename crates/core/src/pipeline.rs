@@ -441,7 +441,11 @@ impl Analyzer {
     /// representation. Every solver phase, fallback, and intermediate
     /// vector uses `S`; the returned [`Summary`] converts to dense at the
     /// boundary (an identity move when `S` is [`BitSet`]).
-    fn analyze_guarded_in<S: EffectSet>(&self, program: &Program, guard: &Guard) -> AnalysisOutcome {
+    fn analyze_guarded_in<S: EffectSet>(
+        &self,
+        program: &Program,
+        guard: &Guard,
+    ) -> AnalysisOutcome {
         let started = Instant::now();
         let mut stats = PhaseStats::default();
         let pool = ThreadPool::with_threads(self.threads);
@@ -591,8 +595,7 @@ impl Analyzer {
             alias_span.arg("pairs", total_pairs as u64);
             pairs
         };
-        let aliases_cut =
-            !self.skip_aliases && failures.iter().any(|f| f.phase == Phase::Aliases);
+        let aliases_cut = !self.skip_aliases && failures.iter().any(|f| f.phase == Phase::Aliases);
         stats.wall.aliases += t.elapsed();
         let t = Instant::now();
         let conservative_sites = |skip: bool| -> Vec<S> {
@@ -707,8 +710,7 @@ impl Analyzer {
             .into_iter()
             .filter(|p| {
                 !cut.contains(*p)
-                    && !(self.skip_use
-                        && matches!(p, Phase::Ruse | Phase::IusePlus | Phase::Guse))
+                    && !(self.skip_use && matches!(p, Phase::Ruse | Phase::IusePlus | Phase::Guse))
                     && !(self.skip_aliases && matches!(p, Phase::Aliases))
             })
             .collect();
@@ -806,7 +808,13 @@ impl Analyzer {
                     solve_gmod_one_level_guarded(program, call_graph.graph(), &plus, locals, guard)
                 }
                 GmodAlgorithm::MultiLevelFused | GmodAlgorithm::Auto => {
-                    solve_gmod_multi_fused_guarded(program, call_graph.graph(), &plus, locals, guard)
+                    solve_gmod_multi_fused_guarded(
+                        program,
+                        call_graph.graph(),
+                        &plus,
+                        locals,
+                        guard,
+                    )
                 }
                 GmodAlgorithm::LevelScheduled => solve_gmod_levels_traced(
                     program,

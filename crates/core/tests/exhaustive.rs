@@ -77,7 +77,11 @@ fn assert_solvers_agree(program: &Program, pool: &ThreadPool, ctx: &str) {
         let want = baseline.gmod(p);
         assert_eq!(naive.gmod(p), want, "{ctx}: naive differs at {p}");
         assert_eq!(fused.gmod(p), want, "{ctx}: fused differs at {p}");
-        assert_eq!(levels.gmod(p), want, "{ctx}: level-scheduled differs at {p}");
+        assert_eq!(
+            levels.gmod(p),
+            want,
+            "{ctx}: level-scheduled differs at {p}"
+        );
         if let Some(one) = &one_level {
             assert_eq!(one.gmod(p), want, "{ctx}: findgmod differs at {p}");
         }
@@ -89,9 +93,7 @@ fn assert_solvers_agree(program: &Program, pool: &ThreadPool, ctx: &str) {
 fn flat_program(n: usize, edges: &[(usize, usize)]) -> Program {
     let mut b = ProgramBuilder::new();
     let globals: Vec<_> = (0..n).map(|i| b.global(&format!("g{i}"))).collect();
-    let procs: Vec<_> = (0..n)
-        .map(|i| b.proc_(&format!("p{i}"), &[]))
-        .collect();
+    let procs: Vec<_> = (0..n).map(|i| b.proc_(&format!("p{i}"), &[])).collect();
     for (i, &p) in procs.iter().enumerate() {
         b.assign(p, globals[i], Expr::constant(1));
     }
@@ -111,9 +113,7 @@ fn flat_program(n: usize, edges: &[(usize, usize)]) -> Program {
 fn binding_program(n: usize, edges: &[(usize, usize)]) -> Program {
     let mut b = ProgramBuilder::new();
     let globals: Vec<_> = (0..n).map(|i| b.global(&format!("g{i}"))).collect();
-    let procs: Vec<_> = (0..n)
-        .map(|i| b.proc_(&format!("p{i}"), &["x"]))
-        .collect();
+    let procs: Vec<_> = (0..n).map(|i| b.proc_(&format!("p{i}"), &["x"])).collect();
     for (i, &p) in procs.iter().enumerate() {
         // Only the *last* of the n procedures writes its formal: a mod
         // bit must travel the binding chain to be observed at all, which
@@ -252,14 +252,30 @@ fn assert_summaries_identical(want: &Summary, got: &Summary, program: &Program, 
     for p in program.procs() {
         assert_eq!(want.rmod(p), got.rmod(p), "{ctx}: RMOD({p}) differs");
         assert_eq!(want.ruse(p), got.ruse(p), "{ctx}: RUSE({p}) differs");
-        assert_eq!(want.imod_plus(p), got.imod_plus(p), "{ctx}: IMOD+({p}) differs");
-        assert_eq!(want.iuse_plus(p), got.iuse_plus(p), "{ctx}: IUSE+({p}) differs");
+        assert_eq!(
+            want.imod_plus(p),
+            got.imod_plus(p),
+            "{ctx}: IMOD+({p}) differs"
+        );
+        assert_eq!(
+            want.iuse_plus(p),
+            got.iuse_plus(p),
+            "{ctx}: IUSE+({p}) differs"
+        );
         assert_eq!(want.gmod(p), got.gmod(p), "{ctx}: GMOD({p}) differs");
         assert_eq!(want.guse(p), got.guse(p), "{ctx}: GUSE({p}) differs");
     }
     for s in program.sites() {
-        assert_eq!(want.dmod_site(s), got.dmod_site(s), "{ctx}: DMOD({s}) differs");
-        assert_eq!(want.duse_site(s), got.duse_site(s), "{ctx}: DUSE({s}) differs");
+        assert_eq!(
+            want.dmod_site(s),
+            got.dmod_site(s),
+            "{ctx}: DMOD({s}) differs"
+        );
+        assert_eq!(
+            want.duse_site(s),
+            got.duse_site(s),
+            "{ctx}: DUSE({s}) differs"
+        );
         assert_eq!(want.mod_site(s), got.mod_site(s), "{ctx}: MOD({s}) differs");
         assert_eq!(want.use_site(s), got.use_site(s), "{ctx}: USE({s}) differs");
     }
@@ -317,7 +333,11 @@ fn hybrid_matches_dense_on_all_four_proc_topologies() {
     let slots = edge_slots(4, false);
     for mask in 0..(1u64 << slots.len()) {
         let edges = edges_of(&slots, mask);
-        assert_reprs_agree(&flat_program(4, &edges), &[1], &format!("flat n=4 mask={mask:#x}"));
+        assert_reprs_agree(
+            &flat_program(4, &edges),
+            &[1],
+            &format!("flat n=4 mask={mask:#x}"),
+        );
         assert_reprs_agree(
             &binding_program(4, &edges),
             &[1],
@@ -336,7 +356,11 @@ fn wide_program() -> Program {
     for (i, &p) in procs.iter().enumerate() {
         // Each procedure touches a sparse scatter of the wide universe.
         for k in 0..5 {
-            b.assign(p, globals[(i * 97 + k * 251) % globals.len()], Expr::constant(1));
+            b.assign(
+                p,
+                globals[(i * 97 + k * 251) % globals.len()],
+                Expr::constant(1),
+            );
         }
         b.assign(p, b.formal(p, 0), Expr::constant(1));
     }
@@ -384,12 +408,32 @@ fn check_reprs_agree(program: &Program, threads: usize, seed: u64) -> CaseResult
         prop_assert_eq!(dense.guse(p), hybrid.guse(p), "GUSE({}) differs", p);
         prop_assert_eq!(dense.rmod(p), hybrid.rmod(p), "RMOD({}) differs", p);
         prop_assert_eq!(dense.ruse(p), hybrid.ruse(p), "RUSE({}) differs", p);
-        prop_assert_eq!(dense.imod_plus(p), hybrid.imod_plus(p), "IMOD+({}) differs", p);
-        prop_assert_eq!(dense.iuse_plus(p), hybrid.iuse_plus(p), "IUSE+({}) differs", p);
+        prop_assert_eq!(
+            dense.imod_plus(p),
+            hybrid.imod_plus(p),
+            "IMOD+({}) differs",
+            p
+        );
+        prop_assert_eq!(
+            dense.iuse_plus(p),
+            hybrid.iuse_plus(p),
+            "IUSE+({}) differs",
+            p
+        );
     }
     for s in program.sites() {
-        prop_assert_eq!(dense.dmod_site(s), hybrid.dmod_site(s), "DMOD({}) differs", s);
-        prop_assert_eq!(dense.duse_site(s), hybrid.duse_site(s), "DUSE({}) differs", s);
+        prop_assert_eq!(
+            dense.dmod_site(s),
+            hybrid.dmod_site(s),
+            "DMOD({}) differs",
+            s
+        );
+        prop_assert_eq!(
+            dense.duse_site(s),
+            hybrid.duse_site(s),
+            "DUSE({}) differs",
+            s
+        );
         prop_assert_eq!(dense.mod_site(s), hybrid.mod_site(s), "MOD({}) differs", s);
         prop_assert_eq!(dense.use_site(s), hybrid.use_site(s), "USE({}) differs", s);
     }

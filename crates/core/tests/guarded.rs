@@ -123,9 +123,7 @@ fn zero_budget_degrades_soundly_at_any_thread_count() {
             assert!(
                 matches!(
                     reason,
-                    DegradeReason::Interrupted(
-                        Interrupt::BitvecBudget | Interrupt::BoolBudget
-                    )
+                    DegradeReason::Interrupted(Interrupt::BitvecBudget | Interrupt::BoolBudget)
                 ),
                 "seed {seed}: unexpected reason {reason}"
             );
@@ -206,10 +204,7 @@ fn mid_flight_cancel_terminates_and_stays_sound() {
                     summary, reason, ..
                 } => {
                     assert!(
-                        matches!(
-                            reason,
-                            DegradeReason::Interrupted(Interrupt::Cancelled)
-                        ),
+                        matches!(reason, DegradeReason::Interrupted(Interrupt::Cancelled)),
                         "round {round}: unexpected reason {reason}"
                     );
                     expect_pass(check_superset(
@@ -230,8 +225,7 @@ fn forced_panic_at_every_site_is_contained_and_sound() {
     let exact = Analyzer::new().analyze(&program);
     for site in PIPELINE_SITES {
         for threads in [1usize, 4] {
-            let guard =
-                Guard::unlimited().with_faults(FaultPlan::new().panic_at(site));
+            let guard = Guard::unlimited().with_faults(FaultPlan::new().panic_at(site));
             let outcome = Analyzer::new()
                 .threads(threads)
                 .analyze_guarded(&program, &guard);
@@ -272,9 +266,7 @@ fn forced_exhaust_at_every_site_trips_the_budget() {
     let exact = Analyzer::new().analyze(&program);
     for site in PIPELINE_SITES {
         let guard = Guard::unlimited().with_faults(FaultPlan::new().exhaust_at(site));
-        let outcome = Analyzer::new()
-            .threads(4)
-            .analyze_guarded(&program, &guard);
+        let outcome = Analyzer::new().threads(4).analyze_guarded(&program, &guard);
         let AnalysisOutcome::Degraded {
             summary, reason, ..
         } = outcome
@@ -282,10 +274,7 @@ fn forced_exhaust_at_every_site_trips_the_budget() {
             panic!("exhaust at `{site}` must degrade");
         };
         assert!(
-            matches!(
-                reason,
-                DegradeReason::Interrupted(Interrupt::BitvecBudget)
-            ),
+            matches!(reason, DegradeReason::Interrupted(Interrupt::BitvecBudget)),
             "site `{site}`: unexpected reason {reason}"
         );
         expect_pass(check_superset(
@@ -313,18 +302,26 @@ fn budget_trip_inside_the_alias_worklist_degrades_soundly() {
     let program = generate(&GenConfig::pascal_like(80, 4), 3);
     let exact = Analyzer::new().analyze(&program);
     let at_checkpoint = counting_guard().with_faults(FaultPlan::new().exhaust_at("alias"));
-    let _ = Analyzer::new().threads(1).analyze_guarded(&program, &at_checkpoint);
+    let _ = Analyzer::new()
+        .threads(1)
+        .analyze_guarded(&program, &at_checkpoint);
     let before = at_checkpoint.charged().1;
     let full = counting_guard();
     let outcome = Analyzer::new().threads(1).analyze_guarded(&program, &full);
     assert!(matches!(outcome, AnalysisOutcome::Clean(_)));
     let total = full.charged().1;
-    assert!(total >= before + 256, "alias solve too small: {before}..{total}");
+    assert!(
+        total >= before + 256,
+        "alias solve too small: {before}..{total}"
+    );
 
     let guard = Guard::new(&Budget::unlimited().with_bool_steps(before + (total - before) / 2));
     let outcome = Analyzer::new().threads(1).analyze_guarded(&program, &guard);
     let charged = guard.charged().1;
-    assert!(before < charged && charged < total, "tripped outside the worklist: {charged}");
+    assert!(
+        before < charged && charged < total,
+        "tripped outside the worklist: {charged}"
+    );
     let AnalysisOutcome::Degraded {
         summary,
         reason,
@@ -337,19 +334,39 @@ fn budget_trip_inside_the_alias_worklist_degrades_soundly() {
         matches!(reason, DegradeReason::Interrupted(Interrupt::BoolBudget)),
         "unexpected reason {reason}"
     );
-    assert!(completed_phases.contains(&Phase::Dmod), "{completed_phases:?}");
-    assert!(!completed_phases.contains(&Phase::Aliases), "{completed_phases:?}");
-    expect_pass(check_superset(&program, &exact, &summary, "alias mid-worklist"));
+    assert!(
+        completed_phases.contains(&Phase::Dmod),
+        "{completed_phases:?}"
+    );
+    assert!(
+        !completed_phases.contains(&Phase::Aliases),
+        "{completed_phases:?}"
+    );
+    expect_pass(check_superset(
+        &program,
+        &exact,
+        &summary,
+        "alias mid-worklist",
+    ));
 
     // Recovery: the same analysis unbudgeted is exact again.
-    let AnalysisOutcome::Clean(again) =
-        Analyzer::new().threads(1).analyze_guarded(&program, &Guard::unlimited())
+    let AnalysisOutcome::Clean(again) = Analyzer::new()
+        .threads(1)
+        .analyze_guarded(&program, &Guard::unlimited())
     else {
         panic!("an unlimited rerun must be clean");
     };
     for s in program.sites() {
-        assert_eq!(again.mod_site(s), exact.mod_site(s), "MOD({s}) after recovery");
-        assert_eq!(again.use_site(s), exact.use_site(s), "USE({s}) after recovery");
+        assert_eq!(
+            again.mod_site(s),
+            exact.mod_site(s),
+            "MOD({s}) after recovery"
+        );
+        assert_eq!(
+            again.use_site(s),
+            exact.use_site(s),
+            "USE({s}) after recovery"
+        );
     }
 }
 
@@ -360,8 +377,7 @@ fn stall_fault_alone_never_degrades() {
     let program = demo_program(8, 2, 17);
     let exact = Analyzer::new().analyze(&program);
     let guard = Guard::unlimited().with_faults(FaultPlan::new().stall_at("gmod"));
-    let AnalysisOutcome::Clean(summary) = Analyzer::new().analyze_guarded(&program, &guard)
-    else {
+    let AnalysisOutcome::Clean(summary) = Analyzer::new().analyze_guarded(&program, &guard) else {
         panic!("a pure stall must not degrade an unlimited run");
     };
     for s in program.sites() {
@@ -378,8 +394,8 @@ fn stall_under_a_deadline_trips_the_deadline() {
     for site in PIPELINE_SITES {
         plan = plan.stall_at(site);
     }
-    let guard = Guard::new(&Budget::unlimited().with_deadline(Duration::from_millis(1)))
-        .with_faults(plan);
+    let guard =
+        Guard::new(&Budget::unlimited().with_deadline(Duration::from_millis(1))).with_faults(plan);
     let AnalysisOutcome::Degraded {
         summary, reason, ..
     } = Analyzer::new().analyze_guarded(&program, &guard)
@@ -442,8 +458,16 @@ fn hybrid_forced_panic_at_every_site_is_contained_and_sound() {
                 panic!("hybrid recovery after panic@{site} must be clean");
             };
             for s in program.sites() {
-                assert_eq!(exact.mod_site(s), recovered.mod_site(s), "recovery MOD({s})");
-                assert_eq!(exact.use_site(s), recovered.use_site(s), "recovery USE({s})");
+                assert_eq!(
+                    exact.mod_site(s),
+                    recovered.mod_site(s),
+                    "recovery MOD({s})"
+                );
+                assert_eq!(
+                    exact.use_site(s),
+                    recovered.use_site(s),
+                    "recovery USE({s})"
+                );
             }
         }
     }
@@ -458,7 +482,10 @@ fn hybrid_zero_budget_degrades_soundly() {
         let mut analyzer = Analyzer::new();
         analyzer.set_repr(SetRepr::Hybrid);
         let outcome = analyzer.analyze_guarded(&program, &guard);
-        assert!(outcome.is_degraded(), "seed {seed}: zero budget must degrade");
+        assert!(
+            outcome.is_degraded(),
+            "seed {seed}: zero budget must degrade"
+        );
         expect_pass(check_superset(
             &program,
             &exact,

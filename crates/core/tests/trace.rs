@@ -34,12 +34,32 @@ fn check_observer_only(program: &Program, threads: usize, seed: u64) -> CaseResu
         prop_assert_eq!(plain.guse(p), traced.guse(p), "GUSE({}) differs", p);
         prop_assert_eq!(plain.rmod(p), traced.rmod(p), "RMOD({}) differs", p);
         prop_assert_eq!(plain.ruse(p), traced.ruse(p), "RUSE({}) differs", p);
-        prop_assert_eq!(plain.imod_plus(p), traced.imod_plus(p), "IMOD+({}) differs", p);
-        prop_assert_eq!(plain.iuse_plus(p), traced.iuse_plus(p), "IUSE+({}) differs", p);
+        prop_assert_eq!(
+            plain.imod_plus(p),
+            traced.imod_plus(p),
+            "IMOD+({}) differs",
+            p
+        );
+        prop_assert_eq!(
+            plain.iuse_plus(p),
+            traced.iuse_plus(p),
+            "IUSE+({}) differs",
+            p
+        );
     }
     for s in program.sites() {
-        prop_assert_eq!(plain.dmod_site(s), traced.dmod_site(s), "DMOD({}) differs", s);
-        prop_assert_eq!(plain.duse_site(s), traced.duse_site(s), "DUSE({}) differs", s);
+        prop_assert_eq!(
+            plain.dmod_site(s),
+            traced.dmod_site(s),
+            "DMOD({}) differs",
+            s
+        );
+        prop_assert_eq!(
+            plain.duse_site(s),
+            traced.duse_site(s),
+            "DUSE({}) differs",
+            s
+        );
         prop_assert_eq!(plain.mod_site(s), traced.mod_site(s), "MOD({}) differs", s);
         prop_assert_eq!(plain.use_site(s), traced.use_site(s), "USE({}) differs", s);
     }
@@ -124,8 +144,17 @@ fn full_run_records_every_executed_phase() {
     Analyzer::new().with_trace(trace.clone()).analyze(&program);
     let names = span_names(&trace);
     for expected in [
-        "analyze", "local", "rmod", "ruse", "imod_plus", "iuse_plus", "gmod", "guse", "dmod",
-        "alias", "modsets",
+        "analyze",
+        "local",
+        "rmod",
+        "ruse",
+        "imod_plus",
+        "iuse_plus",
+        "gmod",
+        "guse",
+        "dmod",
+        "alias",
+        "modsets",
     ] {
         assert!(
             names.iter().any(|n| n == expected),

@@ -102,7 +102,10 @@ fn integer_literal_boundary_is_exact() {
     let err = parse_program("main { print 9223372036854775808; }")
         .expect_err("out-of-range literal is rejected");
     let msg = err.to_string();
-    assert!(msg.contains("lex error"), "classified as a lex error: {msg}");
+    assert!(
+        msg.contains("lex error"),
+        "classified as a lex error: {msg}"
+    );
     assert!(msg.contains("out of range"), "explains the range: {msg}");
     assert!(msg.contains("1:14"), "carries the span: {msg}");
 }

@@ -464,9 +464,7 @@ impl DynCondensation {
     /// Recomputes quotient, predecessors and levels from the (valid)
     /// `graph` + `sccs` pair in `O(N + E)` — no Tarjan DFS.
     fn rebuild_quotient(&mut self) {
-        self.cond = Condensation::build(&self.graph, &self.sccs)
-            .graph()
-            .clone();
+        self.cond = Condensation::build(&self.graph, &self.sccs).graph().clone();
         self.cond_preds.clear();
         self.cond_preds.resize(self.cond.num_nodes(), Vec::new());
         for e in self.cond.edges() {

@@ -119,7 +119,10 @@ mod tests {
     use crate::digraph::DiGraph;
     use crate::scc::tarjan;
 
-    fn levels_of(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> (Levels, Vec<SccId>) {
+    fn levels_of(
+        n: usize,
+        edges: impl IntoIterator<Item = (usize, usize)>,
+    ) -> (Levels, Vec<SccId>) {
         let g = DiGraph::from_edges(n, edges);
         let sccs = tarjan(&g);
         let cond = Condensation::build(&g, &sccs);

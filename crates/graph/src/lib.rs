@@ -50,9 +50,9 @@ pub mod scc;
 pub mod topo;
 
 pub use condense::Condensation;
+pub use dfs::{DepthFirst, EdgeKind};
+pub use digraph::{DiGraph, Edge, EdgeId, NodeId};
 pub use dirty::SparseSweep;
 pub use dyncond::{DynCondensation, PatchEffect};
 pub use levels::Levels;
-pub use dfs::{DepthFirst, EdgeKind};
-pub use digraph::{DiGraph, Edge, EdgeId, NodeId};
 pub use scc::{tarjan, SccId, Sccs};

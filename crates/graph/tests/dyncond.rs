@@ -65,10 +65,7 @@ fn audit(dc: &DynCondensation, edges: &[(usize, usize)]) -> CaseResult {
 
     // Numbering invariant on the maintained ids.
     for e in dc.graph().edges() {
-        let (a, b) = (
-            dc.sccs().component_of(e.from),
-            dc.sccs().component_of(e.to),
-        );
+        let (a, b) = (dc.sccs().component_of(e.from), dc.sccs().component_of(e.to));
         prop_assert!(b <= a, "edge {:?} maps to comps {} -> {}", e, a, b);
     }
 
@@ -146,8 +143,8 @@ fn arb_churn() -> impl Strategy<Value = (usize, Vec<(u8, usize, usize)>)> {
 /// ascending id is successors-first) plus old/new seed masks and extra
 /// over-approximate dirt, for the cutoff-subset property.
 #[allow(clippy::type_complexity)]
-fn arb_cutoff_case() -> impl Strategy<Value = (usize, Vec<(usize, usize)>, Vec<u64>, Vec<u64>, Vec<usize>)>
-{
+fn arb_cutoff_case(
+) -> impl Strategy<Value = (usize, Vec<(usize, usize)>, Vec<u64>, Vec<u64>, Vec<usize>)> {
     custom(
         |rng: &mut Rng| {
             let n = rng.gen_range(2..24usize);

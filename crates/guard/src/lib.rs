@@ -366,12 +366,9 @@ impl Guard {
     /// Latches `cause` as the run's interrupt if nothing tripped earlier,
     /// and raises the stop flag either way.
     pub fn trip(&self, cause: Interrupt) {
-        let _ = self.tripped.compare_exchange(
-            0,
-            cause.code(),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
+        let _ = self
+            .tripped
+            .compare_exchange(0, cause.code(), Ordering::AcqRel, Ordering::Acquire);
         self.stop.store(true, Ordering::Release);
     }
 
@@ -500,7 +497,15 @@ mod tests {
         // Some seed in a small range must produce at least one fault per
         // action kind across the pipeline's sites — the CI fault pass
         // depends on seeds being effective.
-        let sites = ["local", "rmod", "imod_plus", "gmod", "dmod", "alias", "modsets"];
+        let sites = [
+            "local",
+            "rmod",
+            "imod_plus",
+            "gmod",
+            "dmod",
+            "alias",
+            "modsets",
+        ];
         let mut kinds = std::collections::HashSet::new();
         for seed in 0..64u64 {
             let p = FaultPlan::seeded(seed);
@@ -527,10 +532,7 @@ mod tests {
             let _ = g.checkpoint("alias");
         }))
         .expect_err("must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("alias"), "panic message names the site: {msg}");
     }
 

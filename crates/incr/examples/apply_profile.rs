@@ -17,7 +17,10 @@ fn main() {
     let procs: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1024);
     let applies: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(20);
     let program = generate(&GenConfig::fortran_like(procs), 42);
-    let p = program.procs().nth(1).expect("generated programs have procs");
+    let p = program
+        .procs()
+        .nth(1)
+        .expect("generated programs have procs");
     let pool: Vec<VarId> = program
         .visible_set(p)
         .iter()

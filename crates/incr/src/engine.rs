@@ -431,11 +431,7 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
     ///
     /// Returns the [`EditError`] if the edit is rejected (program,
     /// results, and cache untouched).
-    pub fn apply_guarded(
-        &mut self,
-        edit: &Edit,
-        guard: &Guard,
-    ) -> Result<IncrOutcome, EditError> {
+    pub fn apply_guarded(&mut self, edit: &Edit, guard: &Guard) -> Result<IncrOutcome, EditError> {
         let (next, delta) = {
             let _span = self.trace.span("incr.phase.edit");
             self.program.apply_edit(edit)?
@@ -733,10 +729,16 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
         guard.checkpoint("incr.plus")?;
         let (plus_mod, _) = compute_imod_plus_guarded(program, &imod, &rmod, guard)?;
         let (plus_use, _) = compute_imod_plus_guarded(program, &iuse, &ruse, guard)?;
-        let plus_mod_dirty =
-            diff_procs(&plus_mod, old.as_ref().map(|o| o.plus_mod.as_slice()), &is_new_proc);
-        let plus_use_dirty =
-            diff_procs(&plus_use, old.as_ref().map(|o| o.plus_use.as_slice()), &is_new_proc);
+        let plus_mod_dirty = diff_procs(
+            &plus_mod,
+            old.as_ref().map(|o| o.plus_mod.as_slice()),
+            &is_new_proc,
+        );
+        let plus_use_dirty = diff_procs(
+            &plus_use,
+            old.as_ref().map(|o| o.plus_use.as_slice()),
+            &is_new_proc,
+        );
 
         // ---- Phase: GMOD/GUSE (maintained level-scheduled fixpoints) ----
         drop(phase_span);
@@ -877,7 +879,10 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
                 let dirty = program.procs().map(|p| !a.same_pairs(&old_a, p)).collect();
                 (a, dirty)
             }
-            _ => (AliasPairsIn::compute_guarded(program, guard)?, vec![true; np]),
+            _ => (
+                AliasPairsIn::compute_guarded(program, guard)?,
+                vec![true; np],
+            ),
         };
         if let (Mode::Patch, Some(d)) = (mode, delta) {
             for &p in &d.touched_procs {
@@ -906,22 +911,28 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
             let (dm, m, mod_changed) = if redo_mod {
                 let dm = modref_core::dmod::project_site(program, s, &gmod[callee]);
                 let m = aliases.extend_with_aliases(caller, &dm);
-                let changed =
-                    is_new_site[i] || old_sites.as_ref().is_none_or(|o| m != o.2[i]);
+                let changed = is_new_site[i] || old_sites.as_ref().is_none_or(|o| m != o.2[i]);
                 (dm, m, changed)
             } else {
                 let o = old_sites.as_mut().expect("a reused site has old results");
-                (std::mem::take(&mut o.0[i]), std::mem::take(&mut o.2[i]), false)
+                (
+                    std::mem::take(&mut o.0[i]),
+                    std::mem::take(&mut o.2[i]),
+                    false,
+                )
             };
             let (du, u, use_changed) = if redo_use {
                 let du = modref_core::dmod::project_site(program, s, &guse[callee]);
                 let u = aliases.extend_with_aliases(caller, &du);
-                let changed =
-                    is_new_site[i] || old_sites.as_ref().is_none_or(|o| u != o.3[i]);
+                let changed = is_new_site[i] || old_sites.as_ref().is_none_or(|o| u != o.3[i]);
                 (du, u, changed)
             } else {
                 let o = old_sites.as_mut().expect("a reused site has old results");
-                (std::mem::take(&mut o.1[i]), std::mem::take(&mut o.3[i]), false)
+                (
+                    std::mem::take(&mut o.1[i]),
+                    std::mem::take(&mut o.3[i]),
+                    false,
+                )
             };
             if redo_mod || redo_use {
                 stats.sites_recomputed += 1;
@@ -1336,7 +1347,9 @@ fn rmod_sweep_side<S: EffectSet>(
     let mut seeds = Vec::with_capacity(n);
     for node in 0..n {
         let formal = beta.formal_of_node(node);
-        let (owner, _) = program.formal_position(formal).expect("β nodes are formals");
+        let (owner, _) = program
+            .formal_position(formal)
+            .expect("β nodes are formals");
         seeds.push(initial[owner.index()].contains(formal.index()));
     }
     guard.charge(0, n as u64);
@@ -1542,9 +1555,17 @@ fn sweep_gmod_side<S: EffectSet>(
             }
             let mut batch = Vec::new();
             while sweep.next_batch(&mut batch) {
-                run_batch(&batch, dc, rows, seeds, locals, nv, pool, guard, |c, changed| {
-                    sweep.update(c, changed)
-                })?;
+                run_batch(
+                    &batch,
+                    dc,
+                    rows,
+                    seeds,
+                    locals,
+                    nv,
+                    pool,
+                    guard,
+                    |c, changed| sweep.update(c, changed),
+                )?;
             }
             *reused += sweep.total() - sweep.recomputed();
             *recomputed += sweep.recomputed();

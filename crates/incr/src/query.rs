@@ -34,13 +34,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use modref_bitset::{BitSet, EffectSet, HybridSet, OpCounter, SetRepr};
 use modref_core::demand::{
     conservative_proc_answer, conservative_site_answer, query_proc_guarded, query_site_guarded,
     DemandMemoIn, ProcAnswer, SiteAnswer,
 };
-use modref_core::{Analyzer, Guard};
-use modref_bitset::{BitSet, EffectSet, HybridSet, OpCounter, SetRepr};
 use modref_core::Trace;
+use modref_core::{Analyzer, Guard};
 use modref_ir::{CallSiteId, Edit, EditError, ProcId, Program};
 
 use crate::engine::{IncrDelta, IncrOutcome, IncrementalEngineIn, IncrementalExt, ReplayError};
@@ -158,11 +158,7 @@ impl<S: EffectSet> QueryEngineIn<S> {
     ///
     /// Returns the [`EditError`] if the edit is rejected; program and
     /// memo are untouched.
-    pub fn apply_guarded(
-        &mut self,
-        edit: &Edit,
-        guard: &Guard,
-    ) -> Result<IncrOutcome, EditError> {
+    pub fn apply_guarded(&mut self, edit: &Edit, guard: &Guard) -> Result<IncrOutcome, EditError> {
         match &mut self.state {
             State::Lazy { program, memo, .. } => {
                 let (next, delta) = program.apply_edit(edit)?;
@@ -451,11 +447,7 @@ impl AnyQueryEngine {
     /// # Errors
     ///
     /// Returns the [`EditError`] if the edit is rejected.
-    pub fn apply_guarded(
-        &mut self,
-        edit: &Edit,
-        guard: &Guard,
-    ) -> Result<IncrOutcome, EditError> {
+    pub fn apply_guarded(&mut self, edit: &Edit, guard: &Guard) -> Result<IncrOutcome, EditError> {
         match self {
             AnyQueryEngine::Dense(e) => e.apply_guarded(edit, guard),
             AnyQueryEngine::Hybrid(e) => e.apply_guarded(edit, guard),

@@ -220,7 +220,10 @@ fn positional<const N: usize>(
     if names.len() != want {
         return Err(err(
             line,
-            format!("`{verb}` takes {want} positional operand(s), got {}", names.len()),
+            format!(
+                "`{verb}` takes {want} positional operand(s), got {}",
+                names.len()
+            ),
         ));
     }
     Ok(std::array::from_fn(|i| names[i].clone()))
@@ -614,7 +617,10 @@ impl EditGen {
         Edit::AddProcedure {
             name: format!("gen{}", self.fresh),
             parent,
-            formals: formal_names[..count].iter().map(|s| s.to_string()).collect(),
+            formals: formal_names[..count]
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
         }
     }
 
@@ -630,9 +636,7 @@ impl EditGen {
         let candidates: Vec<ProcId> = program
             .procs()
             .filter(|&p| {
-                p != ProcId::MAIN
-                    && !involved[p.index()]
-                    && program.proc_(p).children().is_empty()
+                p != ProcId::MAIN && !involved[p.index()] && program.proc_(p).children().is_empty()
             })
             .collect();
         if candidates.is_empty() {
@@ -704,7 +708,9 @@ rebind 0 0 g
     fn reports_unknown_names_with_line_numbers() {
         let program = sample();
         let script = Script::parse("\n\nset-local nosuch").expect("parses");
-        let e = script.steps()[0].resolve(&program).expect_err("unknown proc");
+        let e = script.steps()[0]
+            .resolve(&program)
+            .expect_err("unknown proc");
         assert_eq!(e.line, 3);
         assert!(e.message.contains("nosuch"));
 
@@ -729,7 +735,11 @@ rebind 0 0 g
         for _ in 0..64 {
             let ea = a.next_edit(&program);
             let eb = b.next_edit(&program);
-            assert_eq!(format!("{ea:?}"), format!("{eb:?}"), "same seed, same script");
+            assert_eq!(
+                format!("{ea:?}"),
+                format!("{eb:?}"),
+                "same seed, same script"
+            );
             if let Ok((next, _)) = program.apply_edit(&ea) {
                 program = next;
                 applied += 1;

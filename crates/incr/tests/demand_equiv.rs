@@ -18,9 +18,9 @@
 //!    **superset** of the exact sets (never unsound, never a crash), and
 //!    the same engine must answer exactly once the pressure is gone.
 
+use modref_bitset::OpCounter;
 use modref_check::prelude::*;
 use modref_check::runner::CaseResult;
-use modref_bitset::OpCounter;
 use modref_core::{Analyzer, Budget, FaultPlan, Guard, ProcAnswer, SiteAnswer};
 use modref_incr::{Edit, EditGen, QueryEngine};
 use modref_ir::{Expr, Program, ProgramBuilder, VarId};
@@ -48,12 +48,22 @@ fn assert_demand_matches_scratch(program: &Program, reverse: bool, ctx: &str) {
     let guard = Guard::unlimited();
     let mut lazy = QueryEngine::new_lazy(program.clone());
     let sites: Vec<_> = if reverse {
-        program.sites().collect::<Vec<_>>().into_iter().rev().collect()
+        program
+            .sites()
+            .collect::<Vec<_>>()
+            .into_iter()
+            .rev()
+            .collect()
     } else {
         program.sites().collect()
     };
     let procs: Vec<_> = if reverse {
-        program.procs().collect::<Vec<_>>().into_iter().rev().collect()
+        program
+            .procs()
+            .collect::<Vec<_>>()
+            .into_iter()
+            .rev()
+            .collect()
     } else {
         program.procs().collect()
     };
@@ -482,8 +492,14 @@ fn alias_trip_then_body_edit_then_same_query_is_exact() {
         let cap = Guard::new(&Budget::unlimited().with_bool_steps(before + (total - before) / 2));
         let out = lazy.site_answer(site, &cap);
         let charged = cap.charged().1;
-        assert!(before < charged && charged < total, "{site}: tripped outside: {charged}");
-        assert!(out.degraded.is_some(), "{site}: a cap inside the closure must degrade");
+        assert!(
+            before < charged && charged < total,
+            "{site}: tripped outside: {charged}"
+        );
+        assert!(
+            out.degraded.is_some(),
+            "{site}: a cap inside the closure must degrade"
+        );
 
         // Rewrite the callee's body to write every scalar it can see.
         let callee = program.site(site).callee();
@@ -498,15 +514,32 @@ fn alias_trip_then_body_edit_then_same_query_is_exact() {
             mods,
             uses: vec![],
         };
-        lazy.apply_guarded(&edit, &Guard::unlimited()).expect("valid edit");
+        lazy.apply_guarded(&edit, &Guard::unlimited())
+            .expect("valid edit");
         let edited = lazy.program().clone();
         let scratch = Analyzer::new().analyze(&edited);
         let calm = lazy.site_answer(site, &Guard::unlimited());
         assert!(calm.degraded.is_none(), "{site}: must recover");
-        assert_eq!(&calm.answer.mods, scratch.mod_site(site), "{site}: exact MOD");
-        assert_eq!(&calm.answer.uses, scratch.use_site(site), "{site}: exact USE");
-        assert_eq!(&calm.answer.dmod, scratch.dmod_site(site), "{site}: exact DMOD");
-        assert_eq!(&calm.answer.duse, scratch.duse_site(site), "{site}: exact DUSE");
+        assert_eq!(
+            &calm.answer.mods,
+            scratch.mod_site(site),
+            "{site}: exact MOD"
+        );
+        assert_eq!(
+            &calm.answer.uses,
+            scratch.use_site(site),
+            "{site}: exact USE"
+        );
+        assert_eq!(
+            &calm.answer.dmod,
+            scratch.dmod_site(site),
+            "{site}: exact DMOD"
+        );
+        assert_eq!(
+            &calm.answer.duse,
+            scratch.duse_site(site),
+            "{site}: exact DUSE"
+        );
         tested += 1;
         if tested == 3 {
             break;
@@ -564,17 +597,37 @@ fn injected_faults_at_every_query_site_degrade_soundly_and_recover() {
                 assert!(reason.contains(at), "{mode}@`{at}`: reason was {reason}");
             }
             // Sound: the degraded answer contains the exact one.
-            assert!(scratch.mod_site(site).is_subset(&out.answer.mods), "{mode}@`{at}`: MOD");
-            assert!(scratch.use_site(site).is_subset(&out.answer.uses), "{mode}@`{at}`: USE");
-            assert!(scratch.dmod_site(site).is_subset(&out.answer.dmod), "{mode}@`{at}`: DMOD");
-            assert!(scratch.duse_site(site).is_subset(&out.answer.duse), "{mode}@`{at}`: DUSE");
+            assert!(
+                scratch.mod_site(site).is_subset(&out.answer.mods),
+                "{mode}@`{at}`: MOD"
+            );
+            assert!(
+                scratch.use_site(site).is_subset(&out.answer.uses),
+                "{mode}@`{at}`: USE"
+            );
+            assert!(
+                scratch.dmod_site(site).is_subset(&out.answer.dmod),
+                "{mode}@`{at}`: DMOD"
+            );
+            assert!(
+                scratch.duse_site(site).is_subset(&out.answer.duse),
+                "{mode}@`{at}`: DUSE"
+            );
             // Recovery: the same engine answers exactly under no pressure
             // (after an interrupt the memo kept only finalised values;
             // after a contained panic it was dropped entirely).
             let calm = lazy.site_answer(site, &Guard::unlimited());
             assert!(calm.degraded.is_none(), "{mode}@`{at}`: must recover");
-            assert_eq!(&calm.answer.mods, scratch.mod_site(site), "{mode}@`{at}`: exact MOD");
-            assert_eq!(&calm.answer.uses, scratch.use_site(site), "{mode}@`{at}`: exact USE");
+            assert_eq!(
+                &calm.answer.mods,
+                scratch.mod_site(site),
+                "{mode}@`{at}`: exact MOD"
+            );
+            assert_eq!(
+                &calm.answer.uses,
+                scratch.use_site(site),
+                "{mode}@`{at}`: exact USE"
+            );
 
             // Procedure queries share the ladder (skip the alias stage,
             // which only site queries reach).
@@ -594,12 +647,26 @@ fn injected_faults_at_every_query_site_degrade_soundly_and_recover() {
             if panic {
                 assert!(reason.contains(at), "{mode}@`{at}`: reason was {reason}");
             }
-            assert!(scratch.gmod(proc_).is_subset(&out.answer.gmod), "{mode}@`{at}`: GMOD");
-            assert!(scratch.guse(proc_).is_subset(&out.answer.guse), "{mode}@`{at}`: GUSE");
+            assert!(
+                scratch.gmod(proc_).is_subset(&out.answer.gmod),
+                "{mode}@`{at}`: GMOD"
+            );
+            assert!(
+                scratch.guse(proc_).is_subset(&out.answer.guse),
+                "{mode}@`{at}`: GUSE"
+            );
             let calm = lazy.proc_answer(proc_, &Guard::unlimited());
             assert!(calm.degraded.is_none(), "{mode}@`{at}`: must recover");
-            assert_eq!(&calm.answer.gmod, scratch.gmod(proc_), "{mode}@`{at}`: exact GMOD");
-            assert_eq!(&calm.answer.guse, scratch.guse(proc_), "{mode}@`{at}`: exact GUSE");
+            assert_eq!(
+                &calm.answer.gmod,
+                scratch.gmod(proc_),
+                "{mode}@`{at}`: exact GMOD"
+            );
+            assert_eq!(
+                &calm.answer.guse,
+                scratch.guse(proc_),
+                "{mode}@`{at}`: exact GUSE"
+            );
         }
     }
 }
@@ -623,7 +690,11 @@ fn starved_budgets_degrade_soundly_on_generated_programs() {
             }
             let calm = lazy.site_answer(s, &Guard::unlimited());
             assert!(calm.degraded.is_none());
-            assert_eq!(&calm.answer.mods, scratch.mod_site(s), "seed {seed}: MOD({s})");
+            assert_eq!(
+                &calm.answer.mods,
+                scratch.mod_site(s),
+                "seed {seed}: MOD({s})"
+            );
         }
     }
 }

@@ -51,13 +51,21 @@ fn assert_same_program(fast: &Program, deep: &Program, ctx: &str) {
         (deep.num_procs(), deep.num_vars(), deep.num_sites()),
         "{ctx}: sizes differ"
     );
-    assert_eq!(fast.symbols().len(), deep.symbols().len(), "{ctx}: interners differ");
+    assert_eq!(
+        fast.symbols().len(),
+        deep.symbols().len(),
+        "{ctx}: interners differ"
+    );
     for p in fast.procs() {
         assert_eq!(fast.proc_(p), deep.proc_(p), "{ctx}: procedure {p} differs");
     }
     for v in fast.vars() {
         assert_eq!(fast.var(v), deep.var(v), "{ctx}: variable {v} differs");
-        assert_eq!(fast.var_name(v), deep.var_name(v), "{ctx}: name of {v} differs");
+        assert_eq!(
+            fast.var_name(v),
+            deep.var_name(v),
+            "{ctx}: name of {v} differs"
+        );
     }
     for s in fast.sites() {
         assert_eq!(fast.site(s), deep.site(s), "{ctx}: site {s} differs");
@@ -103,7 +111,9 @@ fn corrupt(edit: &Edit, program: &Program, mix: &mut Mix) -> Edit {
             }
             _ => args.push(Actual::Ref(Ref::scalar(any_var(mix)))),
         },
-        Edit::RemoveCallSite { site } => *site = CallSiteId::new(mix.below(program.num_sites() + 1)),
+        Edit::RemoveCallSite { site } => {
+            *site = CallSiteId::new(mix.below(program.num_sites() + 1))
+        }
         Edit::AddProcedure { parent, .. } => *parent = any_proc(mix),
         Edit::RemoveProcedure { proc_ } => *proc_ = any_proc(mix),
         Edit::RebindActual {
@@ -262,7 +272,12 @@ fn invalid_edits_fail_identically_on_both_paths() {
                 callee: f.inner,
                 args: vec![],
             },
-            |e| matches!(e, EditError::Invalid(ValidationError::CalleeNotVisible { .. })),
+            |e| {
+                matches!(
+                    e,
+                    EditError::Invalid(ValidationError::CalleeNotVisible { .. })
+                )
+            },
         ),
         (
             "add-call targets main",

@@ -38,7 +38,10 @@ fn demo_program(seed: u64) -> Program {
 /// A `set-local` edit that perturbs the first procedure after main, built
 /// against the engine's current program so it always validates.
 fn perturbing_edit(program: &Program) -> Edit {
-    let p = program.procs().nth(1).expect("generated programs have procs");
+    let p = program
+        .procs()
+        .nth(1)
+        .expect("generated programs have procs");
     let mods: Vec<VarId> = program
         .visible_set(p)
         .iter()
@@ -96,7 +99,9 @@ fn assert_superset<S: EffectSet>(engine: &IncrementalEngineIn<S>, ctx: &str) {
             "{ctx}: RMOD({p}) lost bits"
         );
         assert!(
-            exact.imod_plus(p).is_subset(&engine.imod_plus(p).to_dense()),
+            exact
+                .imod_plus(p)
+                .is_subset(&engine.imod_plus(p).to_dense()),
             "{ctx}: IMOD+({p}) lost bits"
         );
     }
@@ -112,7 +117,9 @@ fn assert_superset<S: EffectSet>(engine: &IncrementalEngineIn<S>, ctx: &str) {
             "{ctx}: USE({s}) lost bits"
         );
         assert!(
-            exact.dmod_site(s).is_subset(&engine.dmod_site(s).to_dense()),
+            exact
+                .dmod_site(s)
+                .is_subset(&engine.dmod_site(s).to_dense()),
             "{ctx}: DMOD({s}) lost bits"
         );
     }
@@ -124,13 +131,33 @@ fn assert_bit_identical<S: EffectSet>(engine: &IncrementalEngineIn<S>, ctx: &str
     let program = engine.program();
     let exact = Analyzer::new().analyze(program);
     for p in program.procs() {
-        assert_eq!(&engine.gmod(p).to_dense(), exact.gmod(p), "{ctx}: GMOD({p})");
-        assert_eq!(&engine.guse(p).to_dense(), exact.guse(p), "{ctx}: GUSE({p})");
-        assert_eq!(&engine.rmod(p).to_dense(), exact.rmod(p), "{ctx}: RMOD({p})");
+        assert_eq!(
+            &engine.gmod(p).to_dense(),
+            exact.gmod(p),
+            "{ctx}: GMOD({p})"
+        );
+        assert_eq!(
+            &engine.guse(p).to_dense(),
+            exact.guse(p),
+            "{ctx}: GUSE({p})"
+        );
+        assert_eq!(
+            &engine.rmod(p).to_dense(),
+            exact.rmod(p),
+            "{ctx}: RMOD({p})"
+        );
     }
     for s in program.sites() {
-        assert_eq!(&engine.mod_site(s).to_dense(), exact.mod_site(s), "{ctx}: MOD({s})");
-        assert_eq!(&engine.use_site(s).to_dense(), exact.use_site(s), "{ctx}: USE({s})");
+        assert_eq!(
+            &engine.mod_site(s).to_dense(),
+            exact.mod_site(s),
+            "{ctx}: MOD({s})"
+        );
+        assert_eq!(
+            &engine.use_site(s).to_dense(),
+            exact.use_site(s),
+            "{ctx}: USE({s})"
+        );
     }
 }
 
@@ -423,8 +450,16 @@ fn hybrid_lazy_query_faults_degrade_soundly_and_recover() {
         );
         let calm = lazy.site_answer(site, &Guard::unlimited());
         assert!(calm.degraded.is_none(), "hybrid@`{at}`: must recover");
-        assert_eq!(&calm.answer.mods, scratch.mod_site(site), "hybrid@`{at}`: exact MOD");
-        assert_eq!(&calm.answer.uses, scratch.use_site(site), "hybrid@`{at}`: exact USE");
+        assert_eq!(
+            &calm.answer.mods,
+            scratch.mod_site(site),
+            "hybrid@`{at}`: exact MOD"
+        );
+        assert_eq!(
+            &calm.answer.uses,
+            scratch.use_site(site),
+            "hybrid@`{at}`: exact USE"
+        );
     }
 }
 
@@ -470,27 +505,41 @@ fn budget_trip_inside_the_patch_alias_worklist_degrades_soundly_and_recovers() {
     let edit = structural_edit(&program);
     let at_checkpoint = counting_guard().with_faults(FaultPlan::new().exhaust_at("incr.final"));
     let mut engine = IncrementalEngine::new(program.clone());
-    let outcome = engine.apply_guarded(&edit, &at_checkpoint).expect("valid edit");
+    let outcome = engine
+        .apply_guarded(&edit, &at_checkpoint)
+        .expect("valid edit");
     assert!(outcome.is_degraded());
     let before = at_checkpoint.charged().1;
     let full = counting_guard();
     let mut engine = IncrementalEngine::new(program.clone());
     let outcome = engine.apply_guarded(&edit, &full).expect("valid edit");
     assert!(matches!(outcome, IncrOutcome::Clean(_)));
-    assert!(!engine.stats().full_rebuild, "the edit must take the patch path");
+    assert!(
+        !engine.stats().full_rebuild,
+        "the edit must take the patch path"
+    );
     let total = full.charged().1;
-    assert!(total >= before + 256, "alias solve too small: {before}..{total}");
+    assert!(
+        total >= before + 256,
+        "alias solve too small: {before}..{total}"
+    );
 
     let guard = Guard::new(&Budget::unlimited().with_bool_steps(before + (total - before) / 2));
     let mut engine = IncrementalEngine::new(program);
     let outcome = engine.apply_guarded(&edit, &guard).expect("valid edit");
     let charged = guard.charged().1;
-    assert!(before < charged && charged < total, "tripped outside the worklist: {charged}");
+    assert!(
+        before < charged && charged < total,
+        "tripped outside the worklist: {charged}"
+    );
     let IncrOutcome::Degraded { reason } = outcome else {
         panic!("a cap inside the alias worklist must degrade the apply");
     };
     assert!(
-        matches!(reason, IncrDegradeReason::Interrupted(Interrupt::BoolBudget)),
+        matches!(
+            reason,
+            IncrDegradeReason::Interrupted(Interrupt::BoolBudget)
+        ),
         "unexpected degrade reason {reason}"
     );
     assert_superset(&engine, "patch alias mid-worklist");
@@ -534,17 +583,43 @@ fn budget_trip_inside_the_lazy_alias_closure_degrades_soundly_and_recovers() {
         let mut lazy = modref_incr::QueryEngine::new_lazy(program.clone());
         let out = lazy.site_answer(site, &guard);
         let charged = guard.charged().1;
-        assert!(before < charged && charged < total, "{site}: tripped outside: {charged}");
-        let reason = out.degraded.expect("a cap inside the closure solve must degrade");
-        assert!(reason.contains("bool"), "{site}: unexpected reason {reason}");
-        assert!(scratch.mod_site(site).is_subset(&out.answer.mods), "{site}: MOD lost bits");
-        assert!(scratch.use_site(site).is_subset(&out.answer.uses), "{site}: USE lost bits");
+        assert!(
+            before < charged && charged < total,
+            "{site}: tripped outside: {charged}"
+        );
+        let reason = out
+            .degraded
+            .expect("a cap inside the closure solve must degrade");
+        assert!(
+            reason.contains("bool"),
+            "{site}: unexpected reason {reason}"
+        );
+        assert!(
+            scratch.mod_site(site).is_subset(&out.answer.mods),
+            "{site}: MOD lost bits"
+        );
+        assert!(
+            scratch.use_site(site).is_subset(&out.answer.uses),
+            "{site}: USE lost bits"
+        );
 
         let calm = lazy.site_answer(site, &Guard::unlimited());
         assert!(calm.degraded.is_none(), "{site}: must recover");
-        assert_eq!(&calm.answer.mods, scratch.mod_site(site), "{site}: exact MOD");
-        assert_eq!(&calm.answer.uses, scratch.use_site(site), "{site}: exact USE");
-        assert_eq!(&calm.answer.dmod, scratch.dmod_site(site), "{site}: exact DMOD");
+        assert_eq!(
+            &calm.answer.mods,
+            scratch.mod_site(site),
+            "{site}: exact MOD"
+        );
+        assert_eq!(
+            &calm.answer.uses,
+            scratch.use_site(site),
+            "{site}: exact USE"
+        );
+        assert_eq!(
+            &calm.answer.dmod,
+            scratch.dmod_site(site),
+            "{site}: exact DMOD"
+        );
         tested += 1;
         if tested == 3 {
             break;

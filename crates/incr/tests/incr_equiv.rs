@@ -133,12 +133,7 @@ fn check_matches_scratch(
 
 /// Runs one random edit script against one engine, checking bit-identity
 /// after the initial build and after every applied edit.
-fn run_script(
-    program: &modref_ir::Program,
-    threads: usize,
-    seed: u64,
-    steps: usize,
-) -> CaseResult {
+fn run_script(program: &modref_ir::Program, threads: usize, seed: u64, steps: usize) -> CaseResult {
     run_script_with(program, threads, seed, steps, false)
 }
 
@@ -151,7 +146,9 @@ fn run_script_with(
     steps: usize,
     structural: bool,
 ) -> CaseResult {
-    let mut engine = Analyzer::new().threads(threads).incremental(program.clone());
+    let mut engine = Analyzer::new()
+        .threads(threads)
+        .incremental(program.clone());
     match check_matches_scratch(&engine, threads, seed, 0) {
         CaseResult::Pass => {}
         other => return other,

@@ -244,8 +244,12 @@ impl EditDelta {
             touched_procs: Vec::new(),
             structure_changed: false,
             universe_changed: false,
-            proc_map: (0..program.num_procs()).map(|i| Some(ProcId::new(i))).collect(),
-            var_map: (0..program.num_vars()).map(|i| Some(VarId::new(i))).collect(),
+            proc_map: (0..program.num_procs())
+                .map(|i| Some(ProcId::new(i)))
+                .collect(),
+            var_map: (0..program.num_vars())
+                .map(|i| Some(VarId::new(i)))
+                .collect(),
             site_map: (0..program.num_sites())
                 .map(|i| Some(CallSiteId::new(i)))
                 .collect(),

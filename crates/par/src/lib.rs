@@ -197,7 +197,10 @@ impl Job {
             body(start, end);
         }));
         if let Err(payload) = outcome {
-            let mut slot = self.panic.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut slot = self
+                .panic
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             if slot.is_none() {
                 *slot = Some(payload);
             }
@@ -211,7 +214,10 @@ impl Job {
         self.active.fetch_add(1, Ordering::SeqCst);
         self.work();
         if self.active.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _guard = self.finish_lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let _guard = self
+                .finish_lock
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             self.finished.notify_all();
         }
     }
@@ -473,18 +479,28 @@ impl ThreadPool {
             }
             return true;
         }
-        let _submitting = self.submit.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _submitting = self
+            .submit
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         // SAFETY: only the lifetime is erased. The pointer is dereferenced
         // solely between job publication and the `active == 0` wait below,
         // while `f` is demonstrably alive on this stack frame.
         #[allow(clippy::missing_transmute_annotations)]
-        let body = BodyPtr(unsafe { std::mem::transmute(f as *const (dyn Fn(usize, usize) + Sync)) });
+        let body =
+            BodyPtr(unsafe { std::mem::transmute(f as *const (dyn Fn(usize, usize) + Sync)) });
         // SAFETY: same lifetime-erasure argument as the body pointer.
         #[allow(clippy::missing_transmute_annotations)]
-        let keep = keep.map(|k| KeepPtr(unsafe { std::mem::transmute(k as *const (dyn Fn() -> bool + Sync)) }));
+        let keep = keep.map(|k| {
+            KeepPtr(unsafe { std::mem::transmute(k as *const (dyn Fn() -> bool + Sync)) })
+        });
         let job = Arc::new(Job::new(body, keep, len, self.chunk_for(len)));
         {
-            let mut mailbox = self.shared.mailbox.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut mailbox = self
+                .shared
+                .mailbox
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             mailbox.job = Some(Arc::clone(&job));
             mailbox.epoch += 1;
             self.shared.work_ready.notify_all();
@@ -494,7 +510,10 @@ impl ThreadPool {
         // Wait until every worker that picked the job up has left it; only
         // then is the `f` borrow dead and the call allowed to return.
         {
-            let mut guard = job.finish_lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut guard = job
+                .finish_lock
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             while job.active.load(Ordering::SeqCst) != 0 {
                 guard = job
                     .finished
@@ -502,10 +521,20 @@ impl ThreadPool {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         }
-        self.shared.mailbox.lock().unwrap_or_else(std::sync::PoisonError::into_inner).job = None;
-        self.chunks
-            .fetch_add(job.claimed.load(Ordering::Relaxed) as u64, Ordering::Relaxed);
-        let payload = job.panic.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
+        self.shared
+            .mailbox
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .job = None;
+        self.chunks.fetch_add(
+            job.claimed.load(Ordering::Relaxed) as u64,
+            Ordering::Relaxed,
+        );
+        let payload = job
+            .panic
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .take();
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
@@ -520,7 +549,11 @@ impl ThreadPool {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         {
-            let mut mailbox = self.shared.mailbox.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut mailbox = self
+                .shared
+                .mailbox
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             mailbox.shutdown = true;
             self.shared.work_ready.notify_all();
         }
@@ -543,7 +576,10 @@ fn worker_loop(shared: &Shared) {
     let mut last_epoch = 0u64;
     loop {
         let job = {
-            let mut mailbox = shared.mailbox.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut mailbox = shared
+                .mailbox
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             loop {
                 if mailbox.shutdown {
                     return;
@@ -648,7 +684,10 @@ mod tests {
         assert!(cancellable.iter().all(Option::is_some));
         let plain = pool.par_map(200, |i| i * 3);
         assert_eq!(
-            cancellable.into_iter().map(Option::unwrap).collect::<Vec<_>>(),
+            cancellable
+                .into_iter()
+                .map(Option::unwrap)
+                .collect::<Vec<_>>(),
             plain
         );
     }
@@ -690,7 +729,10 @@ mod tests {
             },
         );
         let done = slots.iter().filter(|s| s.is_some()).count();
-        assert!(done >= 1 && done < 100, "stopped after the first chunk, ran {done}");
+        assert!(
+            done >= 1 && done < 100,
+            "stopped after the first chunk, ran {done}"
+        );
     }
 
     #[test]

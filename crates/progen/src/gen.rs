@@ -1,9 +1,9 @@
 //! The seeded program generator.
 
+use modref_check::Rng;
 use modref_ir::{
     Actual, BinOp, Expr, ProcId, Program, ProgramBuilder, Ref, Stmt, Subscript, VarId,
 };
-use modref_check::Rng;
 
 use crate::config::GenConfig;
 
@@ -182,9 +182,7 @@ impl Gen<'_> {
                 if rank > 0 {
                     // Array formal: pass a whole rank-matching array or a
                     // section of a rank-2 global.
-                    if let Some(&(arr, _)) =
-                        self.global_arrays.iter().find(|&&(_, r)| r == rank)
-                    {
+                    if let Some(&(arr, _)) = self.global_arrays.iter().find(|&&(_, r)| r == rank) {
                         return Actual::Ref(Ref::scalar(arr));
                     }
                     if let Some(&(big, 2)) = self.global_arrays.iter().find(|&&(_, r)| r == 2) {

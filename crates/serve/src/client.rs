@@ -106,7 +106,8 @@ impl Jitter {
 /// the retry loop into a zero-sleep spin hammering a server that just
 /// said it was overloaded.
 fn retry_floor_ms(hint: Option<u64>, policy: &RetryPolicy) -> u64 {
-    hint.filter(|&ms| ms > 0).unwrap_or_else(|| policy.base_ms.max(1))
+    hint.filter(|&ms| ms > 0)
+        .unwrap_or_else(|| policy.base_ms.max(1))
 }
 
 /// How a drive run ended, mirroring the CLI's three-valued exit
@@ -260,9 +261,17 @@ enum DriveCmd {
         path: String,
         lazy: bool,
     },
-    Edit { session: String, path: String },
-    Query { session: String, target: QueryTarget },
-    Close { session: String },
+    Edit {
+        session: String,
+        path: String,
+    },
+    Query {
+        session: String,
+        target: QueryTarget,
+    },
+    Close {
+        session: String,
+    },
     Stats,
 }
 
@@ -513,9 +522,12 @@ close s1
                 target: QueryTarget::Site(3)
             }
         );
-        assert_eq!(cmds[6].1, DriveCmd::Close {
-            session: "s1".to_string()
-        });
+        assert_eq!(
+            cmds[6].1,
+            DriveCmd::Close {
+                session: "s1".to_string()
+            }
+        );
     }
 
     #[test]
@@ -536,7 +548,10 @@ close s1
         assert_eq!(retry_floor_ms(None, &policy), policy.base_ms);
         assert_eq!(retry_floor_ms(Some(0), &policy), policy.base_ms);
         // Even a pathological zero-base policy keeps a 1 ms floor.
-        let hot = RetryPolicy { base_ms: 0, ..RetryPolicy::default() };
+        let hot = RetryPolicy {
+            base_ms: 0,
+            ..RetryPolicy::default()
+        };
         assert_eq!(retry_floor_ms(None, &hot), 1);
 
         // And the jitter sequence respects that floor on every draw.

@@ -73,7 +73,10 @@ impl JournalRecord {
                 escape_json(program)
             ),
             JournalRecord::Edit { line } => {
-                format!("{{\"v\":1,\"type\":\"edit\",\"line\":\"{}\"}}", escape_json(line))
+                format!(
+                    "{{\"v\":1,\"type\":\"edit\",\"line\":\"{}\"}}",
+                    escape_json(line)
+                )
             }
         }
     }
@@ -85,8 +88,8 @@ impl JournalRecord {
     /// Describes the malformation (bad JSON, unknown type, missing
     /// fields); scanning treats any of these as corruption.
     pub fn parse(payload: &[u8]) -> Result<JournalRecord, String> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| "journal record is not UTF-8".to_owned())?;
+        let text =
+            std::str::from_utf8(payload).map_err(|_| "journal record is not UTF-8".to_owned())?;
         let root = parse_json(text).map_err(|e| format!("bad journal JSON: {e}"))?;
         let field = |key: &str| {
             root.get(key)
@@ -99,7 +102,9 @@ impl JournalRecord {
                 session: field("session")?,
                 program: field("program")?,
             }),
-            Some("edit") => Ok(JournalRecord::Edit { line: field("line")? }),
+            Some("edit") => Ok(JournalRecord::Edit {
+                line: field("line")?,
+            }),
             Some(other) => Err(format!("unknown journal record type `{other}`")),
             None => Err("journal record is missing `type`".to_owned()),
         }
@@ -148,7 +153,9 @@ impl std::error::Error for OversizedRecord {}
 pub fn encode_record(rec: &JournalRecord) -> Result<Vec<u8>, OversizedRecord> {
     let payload = rec.render().into_bytes();
     if payload.len() > MAX_RECORD_LEN {
-        return Err(OversizedRecord { declared: payload.len() });
+        return Err(OversizedRecord {
+            declared: payload.len(),
+        });
     }
     debug_assert!(!payload.is_empty());
     let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
@@ -180,7 +187,9 @@ impl FsyncPolicy {
         match text {
             "always" => Ok(FsyncPolicy::Always),
             "never" => Ok(FsyncPolicy::Never),
-            other => Err(format!("unknown fsync policy `{other}` (expected always|never)")),
+            other => Err(format!(
+                "unknown fsync policy `{other}` (expected always|never)"
+            )),
         }
     }
 }
@@ -246,7 +255,12 @@ impl Journal {
             .create(true)
             .truncate(true)
             .open(&path)?;
-        Ok(Journal { file, path, policy, appended: 0 })
+        Ok(Journal {
+            file,
+            path,
+            policy,
+            appended: 0,
+        })
     }
 
     /// Reopens an existing journal for appending (resurrection and
@@ -258,7 +272,12 @@ impl Journal {
     /// Propagates filesystem failures.
     pub fn append_to(path: &Path, policy: FsyncPolicy) -> std::io::Result<Journal> {
         let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Journal { file, path: path.to_owned(), policy, appended: 0 })
+        Ok(Journal {
+            file,
+            path: path.to_owned(),
+            policy,
+            appended: 0,
+        })
     }
 
     /// Where this journal lives.
@@ -345,7 +364,11 @@ pub fn scan_bytes(bytes: &[u8]) -> JournalScan {
     loop {
         let rest = &bytes[at..];
         if rest.is_empty() {
-            return JournalScan { records, good_bytes: at as u64, torn: false };
+            return JournalScan {
+                records,
+                good_bytes: at as u64,
+                torn: false,
+            };
         }
         let torn = |records: Vec<JournalRecord>| JournalScan {
             records,
@@ -417,7 +440,9 @@ fn crash_armed(site: &str) -> bool {
         return false;
     }
     static HITS: Mutex<Vec<(String, u64)>> = Mutex::new(Vec::new());
-    let mut hits = HITS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut hits = HITS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     for (name, count) in hits.iter_mut() {
         if name == site {
             *count += 1;
@@ -447,7 +472,9 @@ mod tests {
                 session: "s \"quoted\"\n".into(),
                 program: "var g;\nmain { call p(); }\np(x) { }\n".into(),
             },
-            JournalRecord::Edit { line: "set-local p mod=g use=g\t# note".into() },
+            JournalRecord::Edit {
+                line: "set-local p mod=g use=g\t# note".into(),
+            },
         ];
         for rec in cases {
             let bytes = encode_record(&rec).expect("fits the cap");
@@ -463,8 +490,14 @@ mod tests {
         // `line` is pure ASCII with nothing to escape, so the payload
         // length is the fixed JSON envelope plus the line length — that
         // lets the test hit the cap exactly.
-        let envelope = JournalRecord::Edit { line: String::new() }.render().len();
-        let at_cap = JournalRecord::Edit { line: "a".repeat(MAX_RECORD_LEN - envelope) };
+        let envelope = JournalRecord::Edit {
+            line: String::new(),
+        }
+        .render()
+        .len();
+        let at_cap = JournalRecord::Edit {
+            line: "a".repeat(MAX_RECORD_LEN - envelope),
+        };
         let bytes = encode_record(&at_cap).expect("cap-sized record encodes");
         assert_eq!(bytes.len(), RECORD_HEADER_LEN + MAX_RECORD_LEN);
         let scan = scan_bytes(&bytes);
@@ -473,10 +506,14 @@ mod tests {
 
         // One byte over: typed error, nothing encoded — and the scanner
         // agrees the declared length is illegal (symmetry).
-        let over = JournalRecord::Edit { line: "a".repeat(MAX_RECORD_LEN - envelope + 1) };
+        let over = JournalRecord::Edit {
+            line: "a".repeat(MAX_RECORD_LEN - envelope + 1),
+        };
         assert_eq!(
             encode_record(&over).unwrap_err(),
-            OversizedRecord { declared: MAX_RECORD_LEN + 1 }
+            OversizedRecord {
+                declared: MAX_RECORD_LEN + 1
+            }
         );
 
         // The append path surfaces it as InvalidInput before any write.
@@ -494,12 +531,17 @@ mod tests {
 
     #[test]
     fn scan_stops_at_first_damage_without_panic() {
-        let mut bytes = encode_record(&JournalRecord::Edit { line: "remove-call 0".into() })
-            .expect("fits the cap");
+        let mut bytes = encode_record(&JournalRecord::Edit {
+            line: "remove-call 0".into(),
+        })
+        .expect("fits the cap");
         let one = bytes.len();
-        bytes.extend_from_slice(&encode_record(&JournalRecord::Edit {
-            line: "add-call main p args=g".into(),
-        }).expect("fits the cap"));
+        bytes.extend_from_slice(
+            &encode_record(&JournalRecord::Edit {
+                line: "add-call main p args=g".into(),
+            })
+            .expect("fits the cap"),
+        );
         // Flip one payload byte of the second record.
         let flip = one + RECORD_HEADER_LEN + 3;
         bytes[flip] ^= 0x40;
@@ -512,12 +554,19 @@ mod tests {
     #[test]
     fn filenames_encode_and_decode_any_session_name() {
         let dir = Path::new("/tmp/state");
-        for name in ["plain", "has space", "dots.and/slash", "é-unicode", "%already"] {
+        for name in [
+            "plain",
+            "has space",
+            "dots.and/slash",
+            "é-unicode",
+            "%already",
+        ] {
             let path = path_for(dir, name);
             let file = path.file_name().unwrap().to_str().unwrap();
             assert!(file.ends_with(".journal"));
             assert!(
-                file.bytes().all(|b| b.is_ascii_alphanumeric() || b"%_-.".contains(&b)),
+                file.bytes()
+                    .all(|b| b.is_ascii_alphanumeric() || b"%_-.".contains(&b)),
                 "unsafe byte in {file}"
             );
             assert_eq!(session_for(&path).as_deref(), Some(name));

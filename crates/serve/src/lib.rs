@@ -59,9 +59,9 @@ pub mod server;
 pub use client::{run_drive, run_drive_with, Client, DriveOutcome, RetryPolicy};
 pub use frame::{encode_frame, read_frame, write_frame, FrameError, MAX_FRAME_LEN};
 pub use journal::{
-    scan_bytes, scan_journal, FsyncPolicy, Journal, JournalRecord, JournalScan,
-    MAX_RECORD_LEN, RECORD_HEADER_LEN,
+    scan_bytes, scan_journal, FsyncPolicy, Journal, JournalRecord, JournalScan, MAX_RECORD_LEN,
+    RECORD_HEADER_LEN,
 };
-pub use proto::{Envelope, QueryTarget, Request, Response, Status, StatsSnapshot};
+pub use proto::{Envelope, QueryTarget, Request, Response, StatsSnapshot, Status};
 pub use recover::{recover_dir, recover_file, verify_engine, RecoveredSession, RecoveryStats};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -184,7 +184,11 @@ fn dispatch_site_exhaust_degrades_only_the_targeted_session() {
     // open degrades — and the session is never created.
     assert_eq!(open(&mut client, "sick", SICK_SRC), Status::Degraded);
     let resp = query_all(&mut client, "sick");
-    assert_eq!(resp.status, Status::Degraded, "query on the never-opened session");
+    assert_eq!(
+        resp.status,
+        Status::Degraded,
+        "query on the never-opened session"
+    );
     assert!(resp.str_field("report").is_none(), "no session, no report");
 
     // The sibling's whole lifecycle is untouched.
@@ -330,7 +334,8 @@ fn mid_request_disconnect_leaves_the_engine_reusable() {
     // the server sees a truncated frame and closes that connection only.
     {
         let mut raw = TcpStream::connect(addr).expect("raw connects");
-        raw.write_all(&[0, 0, 1, 0, b'{', b'"']).expect("partial frame");
+        raw.write_all(&[0, 0, 1, 0, b'{', b'"'])
+            .expect("partial frame");
         raw.shutdown(std::net::Shutdown::Both).expect("shutdown");
     }
 

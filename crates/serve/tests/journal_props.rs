@@ -9,7 +9,7 @@
 
 use modref_check::prelude::*;
 use modref_serve::journal::{
-    encode_record, path_for, scan_bytes, session_for, scan_journal, truncate_to, FsyncPolicy,
+    encode_record, path_for, scan_bytes, scan_journal, session_for, truncate_to, FsyncPolicy,
     Journal, JournalRecord, RECORD_HEADER_LEN,
 };
 
@@ -28,7 +28,10 @@ fn arb_records() -> BoxedStrategy<Vec<JournalRecord>> {
 }
 
 fn concat(records: &[JournalRecord]) -> Vec<u8> {
-    records.iter().flat_map(|r| encode_record(r).expect("fits the cap")).collect()
+    records
+        .iter()
+        .flat_map(|r| encode_record(r).expect("fits the cap"))
+        .collect()
 }
 
 /// How many whole records fit in the first `cut` bytes, and where that
@@ -138,8 +141,7 @@ fn torn_tail_truncates_and_the_journal_resumes_appending() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir creates");
 
-    let mut journal =
-        Journal::create(&dir, "torn", FsyncPolicy::Never).expect("journal creates");
+    let mut journal = Journal::create(&dir, "torn", FsyncPolicy::Never).expect("journal creates");
     let first = JournalRecord::Snapshot {
         session: "torn".into(),
         program: "var g;\nmain { g = 1; }\n".into(),

@@ -42,7 +42,9 @@ fn query(client: &mut Client, session: &str, target: QueryTarget) -> Response {
 }
 
 fn report(resp: &Response) -> String {
-    resp.str_field("report").expect("query has report").to_string()
+    resp.str_field("report")
+        .expect("query has report")
+        .to_string()
 }
 
 #[test]

@@ -171,7 +171,12 @@ fn restart_recovers_journaled_sessions_bit_identical_to_scratch() {
     assert_eq!(open(&mut client, "alpha", SRC_A).status, Status::Ok);
     assert_eq!(open(&mut client, "beta", SRC_B).status, Status::Ok);
     assert_eq!(
-        edit(&mut client, "alpha", "set-local stepper mod=a,b use=c\nadd-call main stepper args=b").status,
+        edit(
+            &mut client,
+            "alpha",
+            "set-local stepper mod=a,b use=c\nadd-call main stepper args=b"
+        )
+        .status,
         Status::Ok
     );
     assert_eq!(
@@ -242,7 +247,10 @@ fn torn_journal_tails_truncate_to_the_durable_prefix() {
             program: SRC_A.into(),
         })
         .expect("snapshot");
-    for line in ["set-local stepper mod=a,b use=c", "add-call main stepper args=b"] {
+    for line in [
+        "set-local stepper mod=a,b use=c",
+        "add-call main stepper args=b",
+    ] {
         journal
             .append(&JournalRecord::Edit { line: line.into() })
             .expect("edit record");
@@ -415,7 +423,11 @@ fn journal_append_fault_costs_durability_never_correctness() {
         "reason: {:?}",
         resp.str_field("reason")
     );
-    assert_eq!(resp.uint_field("applied"), Some(1), "the edit still applied");
+    assert_eq!(
+        resp.uint_field("applied"),
+        Some(1),
+        "the edit still applied"
+    );
 
     // The engine is exact despite the lost journal.
     let mut replica = parse_program(SRC_A).expect("parses");
@@ -470,7 +482,11 @@ fn journal_fsync_fault_degrades_the_edit_but_the_apply_commits() {
     let mut client = Client::connect(handle.addr()).expect("connects");
 
     let resp = open(&mut client, "sick", SRC_A);
-    assert_eq!(resp.status, Status::Degraded, "fsync fault degrades the open");
+    assert_eq!(
+        resp.status,
+        Status::Degraded,
+        "fsync fault degrades the open"
+    );
     let resp = edit(&mut client, "sick", "set-local stepper mod=a use=b,c");
     assert_eq!(resp.status, Status::Degraded);
     assert_eq!(resp.uint_field("applied"), Some(1));
@@ -504,7 +520,11 @@ fn evict_fault_sheds_the_open_with_a_typed_overloaded() {
     // The poisoned open needs an eviction it cannot get: shed, not
     // errored, with the retry hint.
     let resp = open(&mut client, "sick", SRC_A);
-    assert_eq!(resp.status, Status::Overloaded, "fault must shed, not evict");
+    assert_eq!(
+        resp.status,
+        Status::Overloaded,
+        "fault must shed, not evict"
+    );
     assert_eq!(resp.uint_field("retry_after_ms"), Some(50));
     assert!(
         resp.str_field("reason")

@@ -569,6 +569,10 @@ fn eviction_churn_keeps_every_session_bit_identical() {
         Some(0),
         "churn produced error responses (seed {seed})"
     );
-    assert_eq!(resp.uint_field("degraded"), Some(0), "churn degraded (seed {seed})");
+    assert_eq!(
+        resp.uint_field("degraded"),
+        Some(0),
+        "churn degraded (seed {seed})"
+    );
     handle.shutdown();
 }

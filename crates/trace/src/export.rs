@@ -43,8 +43,7 @@ pub(crate) fn chrome_json(events: &[Event]) -> String {
             // Thread-scoped instant marker.
             out.push_str(",\"s\":\"t\"");
         }
-        let has_args =
-            e.kind == EventKind::Counter || !e.args.is_empty() || !e.notes.is_empty();
+        let has_args = e.kind == EventKind::Counter || !e.args.is_empty() || !e.notes.is_empty();
         if has_args {
             out.push_str(",\"args\":{");
             let mut first = true;
@@ -216,7 +215,12 @@ mod tests {
             .find(|e| e.get("name").unwrap().as_str() == Some("degraded"))
             .expect("instant exported");
         assert_eq!(
-            degraded.get("args").unwrap().get("reason").unwrap().as_str(),
+            degraded
+                .get("args")
+                .unwrap()
+                .get("reason")
+                .unwrap()
+                .as_str(),
             Some("deadline \"now\"")
         );
     }
@@ -234,7 +238,10 @@ mod tests {
             .lines()
             .find(|l| l.starts_with("guard_bitvec"))
             .expect("counter row");
-        assert!(counter_row.contains("12"), "last sample wins: {counter_row}");
+        assert!(
+            counter_row.contains("12"),
+            "last sample wins: {counter_row}"
+        );
         assert!(table.contains("event degraded reason=deadline"));
     }
 

@@ -145,9 +145,7 @@ impl TraceSink {
                     .cloned(),
             );
         }
-        all.sort_by(|a, b| {
-            (a.start_ns, a.tid, a.name).cmp(&(b.start_ns, b.tid, b.name))
-        });
+        all.sort_by(|a, b| (a.start_ns, a.tid, a.name).cmp(&(b.start_ns, b.tid, b.name)));
         all
     }
 }

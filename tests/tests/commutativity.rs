@@ -2,10 +2,10 @@
 //! statements that the summaries prove non-interfering (and that perform
 //! no I/O) can be swapped without changing program behaviour.
 
+use modref_check::prelude::*;
 use modref_core::Analyzer;
 use modref_interp::Interpreter;
 use modref_ir::{Program, Stmt};
-use modref_check::prelude::*;
 use modref_progen::{generate, GenConfig};
 
 /// Which procedures may perform I/O, directly or through calls.

@@ -4,9 +4,9 @@
 
 use std::collections::BTreeSet;
 
+use modref_check::prelude::*;
 use modref_core::Analyzer;
 use modref_ir::Program;
-use modref_check::prelude::*;
 use modref_progen::{generate, GenConfig};
 
 /// Stable, id-free fingerprint of a summary: for each call site (in

@@ -20,7 +20,10 @@ fn arb_pos() -> BoxedStrategy<SubscriptPos> {
 fn arb_section(rank: usize) -> BoxedStrategy<Section> {
     weighted(vec![
         (1, just(Section::Bottom).boxed()),
-        (4, vec_of(arb_pos(), rank..rank + 1).map(Section::Axes).boxed()),
+        (
+            4,
+            vec_of(arb_pos(), rank..rank + 1).map(Section::Axes).boxed(),
+        ),
     ])
     .boxed()
 }
