@@ -245,6 +245,15 @@ impl Program {
         &self.symbols
     }
 
+    /// The variable table itself, for caches of per-variable text. Edits
+    /// that keep the variable universe share it, and the ones that change
+    /// it (`add-proc` with formals, `remove-proc`) build a new one, so two
+    /// programs whose tables are [`Arc::ptr_eq`] have the same variables
+    /// with the same names (the interner only ever grows).
+    pub fn var_table(&self) -> &Arc<Vec<VarInfo>> {
+        &self.vars
+    }
+
     /// The name of procedure `p` as text.
     pub fn proc_name(&self, p: ProcId) -> &str {
         self.symbols.resolve(self.procs[p.index()].name)

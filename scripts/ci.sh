@@ -36,6 +36,13 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok"
 
+# Formatting is gated so every edit can be plain `cargo fmt` output.
+# `--all` covers the root workspace; `perfbench/` is its own workspace
+# and is not checked here.
+echo "== format check =="
+cargo fmt --all --check
+echo "ok"
+
 echo "== build (release, offline) =="
 cargo build --release --offline
 
