@@ -561,7 +561,8 @@ fn analyze_edits_in<S: modref_core::EffectSet>(
             let s = engine.stats();
             eprintln!(
                 "edit #{k} ({script_path}:{}): {}gmod components {} reused / {} recomputed, \
-                 rmod {} / {}, sites {} / {}, {} procs re-scanned",
+                 rmod {} / {}, sites {} / {}, {} procs re-scanned, \
+                 alias pairs {} added / {} removed / {} over-deleted",
                 step.line,
                 if s.full_rebuild { "full rebuild; " } else { "" },
                 s.gmod_components_reused,
@@ -571,6 +572,9 @@ fn analyze_edits_in<S: modref_core::EffectSet>(
                 s.sites_reused,
                 s.sites_recomputed,
                 s.procs_flat_recomputed,
+                s.alias_pairs_added,
+                s.alias_pairs_removed,
+                s.alias_pairs_overdeleted,
             );
         }
     }

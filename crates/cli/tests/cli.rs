@@ -418,6 +418,47 @@ fn analyze_edits_metrics_reports_per_edit_counters() {
     // and the IR edit attributed to its own span.
     assert!(err.contains("incr.apply"), "stderr: {err}");
     assert!(err.contains("incr.phase.edit"), "stderr: {err}");
+
+    // A structural edit reports what it did to the alias relation.
+    // `bump(g)` adds `⟨x,g⟩` to `bump`, and removing it (site 2, after
+    // the two calls in `main`) over-deletes and loses that one pair.
+    // `bump(m)` adds nothing — `bump(m)` at site 0 already put `⟨x,m⟩`
+    // there — and removing it over-deletes `⟨x,m⟩`, which site 0 then
+    // re-derives.
+    let script = write_script(
+        "edits-metrics-structural",
+        "add-call main bump args=g\nremove-call 2\nadd-call main bump args=m\nremove-call 2\n",
+    );
+    let out = modref()
+        .args([
+            "analyze",
+            path.to_str().expect("utf-8"),
+            "--edits",
+            script.to_str().expect("utf-8"),
+            "--metrics",
+        ])
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    let line = |k: usize| {
+        err.lines()
+            .find(|l| l.starts_with(&format!("edit #{k}")))
+            .unwrap_or_else(|| panic!("no edit #{k} metrics line in:\n{err}"))
+            .to_string()
+    };
+    for (k, counts) in [
+        "1 added / 0 removed / 0 over-deleted",
+        "0 added / 1 removed / 1 over-deleted",
+        "0 added / 0 removed / 0 over-deleted",
+        "0 added / 0 removed / 1 over-deleted",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let line = line(k);
+        assert!(line.ends_with(&format!("alias pairs {counts}")), "{line}");
+    }
 }
 
 #[test]
@@ -541,7 +582,8 @@ fn analyze_edits_metrics_pin_full_cutoff_on_a_reasserted_edit() {
         .unwrap_or_else(|| panic!("no edit #1 metrics line in:\n{err}"));
     let expected = format!(
         "edit #1 ({}:2): gmod components 6 reused / 0 recomputed, \
-         rmod 0 / 0, sites 2 / 0, 1 procs re-scanned",
+         rmod 0 / 0, sites 2 / 0, 1 procs re-scanned, \
+         alias pairs 0 added / 0 removed / 0 over-deleted",
         script.to_str().expect("utf-8")
     );
     assert_eq!(line, expected, "full stderr:\n{err}");

@@ -1,43 +1,77 @@
-//! The differential wall for the alias solver.
+//! The differential walls for the alias solver and its maintenance.
 //!
-//! [`AliasPairsIn::solve_closure_by_sites`] is the site-at-a-time worklist
-//! the pair-at-a-time solver replaced: pop a call site, re-derive its
-//! whole transfer (rules R1–R4 of the module docs) from the caller's full
+//! [`Oracle::solve_closure_by_sites`] is the site-at-a-time worklist the
+//! pair-at-a-time solver replaced: pop a call site, re-derive its whole
+//! transfer (rules R1–R4 of the module docs) from the caller's full
 //! relation, and re-queue every site of the callee on any change. It is
 //! slow — every pop walks every caller pair — but each rule is written out
-//! directly, so it serves as the oracle here. The production solver must
-//! reproduce its relation exactly, per-procedure partner maps *and*
-//! `keys`, on:
+//! directly, and it keeps its relation in its own per-procedure
+//! `BTreeSet`s, sharing no storage or rule code with the solver, so it
+//! serves as the oracle here. The production solver must reproduce its
+//! relation exactly, row for row, on:
 //!
 //! * the exhaustive ≤4-procedure corpus (flat, binding, nested and
 //!   recursive shapes, every call-edge subset);
-//! * seeded `pascal_like` / `fortran_like` / `alias_heavy` programs, under
-//!   dense and hybrid sets;
+//! * seeded `pascal_like` / `fortran_like` / `alias_heavy` programs;
 //! * closure-restricted solves, started from empty and from a partially
 //!   accumulated relation (a smaller closure solved first, or a solve cut
 //!   short by a budget), which must equal the full relation on every
 //!   closure member.
 //!
+//! The maintenance wall edits every site of every corpus program, and
+//! sampled sites of the seeded ones: the relation of `P` carried across
+//! the removal of site `s` by [`AliasPairs::update_guarded`] must equal
+//! the oracle on `P − s`, the relation of `P − s` carried across
+//! re-inserting `s` must equal the oracle on `P`, and a `rebind` must land
+//! on the oracle too; each update must also name exactly the procedures
+//! whose relation changed.
+//!
 //! Replay a sweep failure with
 //! `MODREF_SEED=<seed> cargo test -p modref-core --lib alias::oracle`.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
-use modref_bitset::{EffectSet, HybridSet};
 use modref_check::prelude::*;
 use modref_check::runner::CaseResult;
 use modref_guard::{Budget, Guard};
-use modref_ir::{Actual, CallSiteId, ProcId, Program, ProgramBuilder, VarId};
+use modref_ir::{Actual, CallSiteId, Edit, ProcId, Program, ProgramBuilder, VarId};
 use modref_progen::{generate, workloads, GenConfig};
 
-use super::{AliasPairs, AliasPairsIn};
+use super::AliasPairs;
 
-impl<S: EffectSet> AliasPairsIn<S> {
+/// The oracle's relation: `sets[p]` holds `ALIAS(p)` with each pair in
+/// both directions.
+struct Oracle {
+    sets: Vec<BTreeSet<(VarId, VarId)>>,
+}
+
+impl Oracle {
     /// The oracle's full-program relation.
-    fn compute_by_sites(program: &Program) -> Self {
-        let mut result = Self::empty_impl(program);
+    fn compute(program: &Program) -> Self {
+        let mut result = Oracle {
+            sets: vec![BTreeSet::new(); program.num_procs()],
+        };
         result.solve_closure_by_sites(program, &vec![true; program.num_procs()]);
         result
+    }
+
+    fn are_aliased(&self, p: ProcId, a: VarId, b: VarId) -> bool {
+        self.sets[p.index()].contains(&(a, b))
+    }
+
+    fn partners_of(&self, p: ProcId, v: VarId) -> impl Iterator<Item = VarId> + '_ {
+        self.sets[p.index()]
+            .range((v, VarId::new(0))..)
+            .take_while(move |&&(a, _)| a == v)
+            .map(|&(_, b)| b)
+    }
+
+    fn add_pair(&mut self, p: ProcId, a: VarId, b: VarId) -> bool {
+        if a == b {
+            return false;
+        }
+        let set = &mut self.sets[p.index()];
+        set.insert((a, b)) | set.insert((b, a))
     }
 
     /// The site-worklist solve restricted to sites whose callee lies in
@@ -88,9 +122,9 @@ impl<S: EffectSet> AliasPairsIn<S> {
                 }
             }
             // R4: caller pairs whose members both survive into the callee.
-            let inherited: Vec<(VarId, VarId)> = self.partners[caller.index()]
+            let inherited: Vec<(VarId, VarId)> = self.sets[caller.index()]
                 .iter()
-                .flat_map(|(&x, set)| set.iter().map(move |y| (x, VarId::new(y))))
+                .copied()
                 .filter(|&(x, y)| program.visible_in(x, callee) && program.visible_in(y, callee))
                 .collect();
             for (x, y) in inherited {
@@ -110,46 +144,41 @@ impl<S: EffectSet> AliasPairsIn<S> {
     }
 }
 
-/// First difference between two relations on the procedures `on` selects:
-/// the partner maps and the `keys` pre-filter must both match.
+/// First difference between the oracle's pair sets and the solver's rows
+/// on the procedures `on` selects. A row must list exactly the oracle's
+/// pairs, both directions, sorted, once each.
 fn diff_relations(
-    want: &AliasPairs,
+    want: &Oracle,
     got: &AliasPairs,
     on: impl Fn(ProcId) -> bool,
     program: &Program,
 ) -> Option<String> {
+    if got.rows.len() != program.num_procs() {
+        return Some(format!(
+            "{} rows for {} procedures",
+            got.rows.len(),
+            program.num_procs()
+        ));
+    }
     for p in program.procs().filter(|&p| on(p)) {
-        if want.partners[p.index()] != got.partners[p.index()] {
+        let want_row: Vec<(VarId, VarId)> = want.sets[p.index()].iter().copied().collect();
+        if want_row != got.rows[p.index()] {
             return Some(format!(
-                "partners of {p} differ: oracle {:?}, solver {:?}",
-                want.partners[p.index()],
-                got.partners[p.index()]
+                "pairs of {p} differ: oracle {want_row:?}, solver {:?}",
+                got.rows[p.index()]
             ));
-        }
-        if want.keys[p.index()] != got.keys[p.index()] {
-            return Some(format!("keys of {p} differ"));
         }
     }
     None
 }
 
-/// The full relation under the production solver, dense and hybrid, must
-/// equal the oracle's.
+/// The full relation under the production solver must equal the oracle's.
 fn check_full(program: &Program, ctx: &str) -> CaseResult {
-    let want = AliasPairs::compute_by_sites(program);
-    let dense = AliasPairs::compute(program);
-    let hybrid = AliasPairsIn::<HybridSet>::compute(program).into_dense();
-    for (name, got) in [("dense", &dense), ("hybrid", &hybrid)] {
-        if let Some(d) = diff_relations(&want, got, |_| true, program) {
-            return CaseResult::Fail(format!("{ctx} ({name}): {d}"));
-        }
-    }
-    CaseResult::Pass
-}
-
-fn assert_full(program: &Program, ctx: &str) {
-    if let CaseResult::Fail(msg) = check_full(program, ctx) {
-        panic!("{msg}");
+    let want = Oracle::compute(program);
+    let got = AliasPairs::compute(program);
+    match diff_relations(&want, &got, |_| true, program) {
+        Some(d) => CaseResult::Fail(format!("{ctx}: {d}")),
+        None => CaseResult::Pass,
     }
 }
 
@@ -176,7 +205,7 @@ fn ancestor_closure(program: &Program, p: ProcId) -> Vec<bool> {
 /// closure member, from empty, after a smaller closure, and after a solve
 /// a budget cut short.
 fn check_closures(program: &Program, pick: u64, ctx: &str) -> CaseResult {
-    let full = AliasPairs::compute_by_sites(program);
+    let full = Oracle::compute(program);
     let np = program.num_procs() as u64;
     let target = ProcId::new((pick % np) as usize);
     let other = ProcId::new((pick / np % np) as usize);
@@ -211,17 +240,14 @@ fn check_closures(program: &Program, pick: u64, ctx: &str) -> CaseResult {
         let mut resumed = AliasPairs::empty_impl(program);
         let tight = Guard::new(&Budget::unlimited().with_bool_steps(cap));
         let _ = resumed.solve_closure_guarded(program, &closure, &tight);
-        // Whatever the cut left behind is sound …
+        // Whatever the cut left behind is sound and still sorted …
         for p in program.procs() {
-            for (&v, set) in &resumed.partners[p.index()] {
-                if !full.partners[p.index()]
-                    .get(&v)
-                    .is_some_and(|f| set.is_subset(f))
-                {
-                    return CaseResult::Fail(format!(
-                        "{ctx}: cap {cap} left an unsound pair at {p}"
-                    ));
-                }
+            let row = &resumed.rows[p.index()];
+            if !row.windows(2).all(|w| w[0] < w[1]) {
+                return CaseResult::Fail(format!("{ctx}: cap {cap} left {p}'s row unsorted"));
+            }
+            if row.iter().any(|&(a, b)| !full.are_aliased(p, a, b)) {
+                return CaseResult::Fail(format!("{ctx}: cap {cap} left an unsound pair at {p}"));
             }
         }
         // … and a resumed solve reaches the exact relation.
@@ -235,6 +261,133 @@ fn check_closures(program: &Program, pick: u64, ctx: &str) -> CaseResult {
         }
     }
     CaseResult::Pass
+}
+
+/// Carries `old`, the exact relation of `before`, across `edit` and
+/// checks the result against `want` — the oracle on the edited program,
+/// computed here when not given — and the reported change against the two
+/// relations. Returns the carried relation; a rejected edit checks nothing.
+fn check_update(
+    before: &Program,
+    old: &AliasPairs,
+    edit: &Edit,
+    want: Option<&Oracle>,
+    ctx: &str,
+) -> Result<Option<AliasPairs>, String> {
+    let Ok((after, delta)) = before.apply_edit(edit) else {
+        return Ok(None);
+    };
+    let (got, change) = old
+        .clone()
+        .update_guarded(before, &after, &delta, &Guard::unlimited())
+        .expect("unlimited");
+    let computed;
+    let want = match want {
+        Some(w) => w,
+        None => {
+            computed = Oracle::compute(&after);
+            &computed
+        }
+    };
+    if let Some(d) = diff_relations(want, &got, |_| true, &after) {
+        return Err(format!("{ctx}: after {edit:?}: {d}"));
+    }
+    let mut changed = Vec::new();
+    let (mut added, mut removed) = (0, 0);
+    for p in after.procs() {
+        let old_row: &[(VarId, VarId)] = old.rows.get(p.index()).map_or(&[], |r| &r[..]);
+        let new_row = &got.rows[p.index()];
+        if old_row != &new_row[..] {
+            changed.push(p);
+        }
+        added += new_row
+            .iter()
+            .filter(|&&(a, b)| a < b && old_row.binary_search(&(a, b)).is_err())
+            .count();
+        removed += old_row
+            .iter()
+            .filter(|&&(a, b)| a < b && new_row.binary_search(&(a, b)).is_err())
+            .count();
+    }
+    if (&change.changed, change.pairs_added, change.pairs_removed) != (&changed, added, removed) {
+        return Err(format!(
+            "{ctx}: after {edit:?}: reported {:?} +{} -{}, actual {changed:?} +{added} -{removed}",
+            change.changed, change.pairs_added, change.pairs_removed
+        ));
+    }
+    if change.pairs_overdeleted < removed {
+        return Err(format!(
+            "{ctx}: after {edit:?}: {removed} pairs removed but only {} over-deleted",
+            change.pairs_overdeleted
+        ));
+    }
+    Ok(Some(got))
+}
+
+/// Site `s` of `program` removed (carried from `full`, the exact relation
+/// of `program`), re-inserted (carried from the removal's result, and
+/// checked against `oracle`, the oracle on `program`: moving a site to the
+/// end changes no pair), and its second actual rebound to its first.
+fn check_site_edits(
+    program: &Program,
+    full: &AliasPairs,
+    oracle: &Oracle,
+    s: CallSiteId,
+    ctx: &str,
+) -> Result<(), String> {
+    let ctx = format!("{ctx} site {s}");
+    let site = program.site(s);
+    let remove = Edit::RemoveCallSite { site: s };
+    let (minus, _) = program
+        .apply_edit(&remove)
+        .expect("a listed site is removable");
+    let shrunk = check_update(program, full, &remove, None, &ctx)?.expect("applied above");
+    let reinsert = Edit::AddCallSite {
+        caller: site.caller(),
+        callee: site.callee(),
+        args: site.args().to_vec(),
+    };
+    check_update(&minus, &shrunk, &reinsert, Some(oracle), &ctx)?;
+    if site.args().len() >= 2 {
+        let rebind = Edit::RebindActual {
+            site: s,
+            position: 1,
+            actual: site.args()[0].clone(),
+        };
+        check_update(program, full, &rebind, None, &ctx)?;
+    }
+    Ok(())
+}
+
+/// [`check_site_edits`] on each of `sites`.
+fn check_sites(
+    program: &Program,
+    sites: impl Iterator<Item = CallSiteId>,
+    ctx: &str,
+) -> CaseResult {
+    let full = AliasPairs::compute(program);
+    let oracle = Oracle::compute(program);
+    for s in sites {
+        if let Err(msg) = check_site_edits(program, &full, &oracle, s, ctx) {
+            return CaseResult::Fail(msg);
+        }
+    }
+    CaseResult::Pass
+}
+
+/// [`check_site_edits`] on every site of `program`.
+fn check_every_site(program: &Program, ctx: &str) -> CaseResult {
+    check_sites(program, program.sites(), ctx)
+}
+
+/// [`check_site_edits`] on three sites `pick` chooses.
+fn check_picked_sites(program: &Program, pick: u64, ctx: &str) -> CaseResult {
+    let ns = program.num_sites() as u64;
+    let picked = [pick, pick / 7, pick / 49]
+        .into_iter()
+        .filter(|_| ns > 0)
+        .map(|k| CallSiteId::new((k % ns) as usize));
+    check_sites(program, picked, ctx)
 }
 
 // ---- The exhaustive ≤4-procedure corpus -------------------------------
@@ -344,15 +497,20 @@ fn nested_program(n: usize, edges: &[(usize, usize, usize)]) -> Option<Program> 
     b.finish().ok()
 }
 
-/// Checks [`check_full`] on every edge subset of every size up to 4 (self-loops
-/// up to 3), returning how many instances were valid.
-fn enumerate(shape: impl Fn(usize, &[(usize, usize, usize)]) -> Option<Program>) -> usize {
+/// Runs `check` on every edge subset of every size up to 4 (self-loops up
+/// to 3), returning how many instances were valid.
+fn enumerate(
+    shape: impl Fn(usize, &[(usize, usize, usize)]) -> Option<Program>,
+    check: impl Fn(&Program, &str) -> CaseResult,
+) -> usize {
     let mut valid = 0;
     for (n, self_loops) in [(1, true), (2, true), (3, true), (4, false)] {
         let slots = edge_slots(n, self_loops);
         for mask in 0..(1u64 << slots.len()) {
             if let Some(program) = shape(n, &edges_of(&slots, mask)) {
-                assert_full(&program, &format!("n={n} mask={mask:#x}"));
+                if let CaseResult::Fail(msg) = check(&program, &format!("n={n} mask={mask:#x}")) {
+                    panic!("{msg}");
+                }
                 valid += 1;
             }
         }
@@ -363,7 +521,7 @@ fn enumerate(shape: impl Fn(usize, &[(usize, usize, usize)]) -> Option<Program>)
 #[test]
 fn all_flat_and_recursive_topologies_match_the_oracle() {
     assert_eq!(
-        enumerate(|n, e| Some(flat_program(n, e))),
+        enumerate(|n, e| Some(flat_program(n, e)), check_full),
         2 + 16 + 512 + 4096
     );
 }
@@ -371,15 +529,30 @@ fn all_flat_and_recursive_topologies_match_the_oracle() {
 #[test]
 fn all_binding_topologies_match_the_oracle() {
     assert_eq!(
-        enumerate(|n, e| Some(binding_program(n, e))),
+        enumerate(|n, e| Some(binding_program(n, e)), check_full),
         2 + 16 + 512 + 4096
     );
 }
 
 #[test]
 fn all_visible_nested_topologies_match_the_oracle() {
-    let valid = enumerate(nested_program);
+    let valid = enumerate(nested_program, check_full);
     assert!(valid > 100, "only {valid} nested instances validated");
+}
+
+#[test]
+fn every_site_edit_on_flat_and_recursive_topologies_matches_the_oracle() {
+    enumerate(|n, e| Some(flat_program(n, e)), check_every_site);
+}
+
+#[test]
+fn every_site_edit_on_binding_topologies_matches_the_oracle() {
+    enumerate(|n, e| Some(binding_program(n, e)), check_every_site);
+}
+
+#[test]
+fn every_site_edit_on_nested_topologies_matches_the_oracle() {
+    enumerate(nested_program, check_every_site);
 }
 
 #[test]
@@ -428,6 +601,69 @@ fn solver_work_is_linear_in_its_output() {
     );
 }
 
+#[test]
+fn update_work_is_linear_in_what_it_changes() {
+    // Inserting a site processes its seeds, one push of each caller pair
+    // through it, and one item per new pair (each then crosses its
+    // procedure's out-sites once); removing one processes the same push,
+    // each over-deleted pair twice (deletion and re-derivation check), and
+    // the pairs re-derived. A fallback to a full solve would process every
+    // site and every pair of the program.
+    let program = generate(&GenConfig::pascal_like(500, 4), 1);
+    let full = AliasPairs::compute(&program);
+    let total: usize = program.procs().map(|p| full.pair_count(p)).sum();
+    let unlimited = Guard::unlimited();
+    let mut overdeleted = 0;
+    for k in (0..program.num_sites()).step_by(97) {
+        let s = CallSiteId::new(k);
+        let site = program.site(s);
+        let caller = site.caller();
+        let (minus, del) = program
+            .apply_edit(&Edit::RemoveCallSite { site: s })
+            .expect("removable");
+        let (shrunk, removal) = full
+            .clone()
+            .update_guarded(&program, &minus, &del, &unlimited)
+            .expect("unlimited");
+        let bound = 1
+            + full.pair_count(caller) as u64
+            + 2 * removal.pairs_overdeleted as u64
+            + (removal.pairs_overdeleted - removal.pairs_removed + removal.pairs_added) as u64;
+        assert!(
+            removal.items <= bound,
+            "removing {s}: {} items, bound {bound}",
+            removal.items
+        );
+        overdeleted += removal.pairs_overdeleted;
+
+        let (plus, ins) = minus
+            .apply_edit(&Edit::AddCallSite {
+                caller,
+                callee: site.callee(),
+                args: site.args().to_vec(),
+            })
+            .expect("re-insertable");
+        let (grown, insertion) = shrunk
+            .clone()
+            .update_guarded(&minus, &plus, &ins, &unlimited)
+            .expect("unlimited");
+        assert_eq!(grown, full, "re-inserting {s} restores the relation");
+        assert_eq!(insertion.pairs_overdeleted, 0);
+        let bound = 1 + shrunk.pair_count(caller) as u64 + insertion.pairs_added as u64;
+        assert!(
+            insertion.items <= bound,
+            "inserting {s}: {} items, bound {bound}",
+            insertion.items
+        );
+        assert!(
+            insertion.items < total as u64 / 4,
+            "inserting {s} took {} items for a {total}-pair relation",
+            insertion.items
+        );
+    }
+    assert!(overdeleted > 0, "the sample must exercise deletion");
+}
+
 property! {
     #![cases = 32]
 
@@ -439,7 +675,11 @@ property! {
     ) {
         let program = generate(&GenConfig::pascal_like(n, depth), seed);
         let ctx = format!("pascal_like({n}, {depth}) seed {seed}");
-        for result in [check_full(&program, &ctx), check_closures(&program, pick, &ctx)] {
+        for result in [
+            check_full(&program, &ctx),
+            check_closures(&program, pick, &ctx),
+            check_picked_sites(&program, pick, &ctx),
+        ] {
             if !matches!(result, CaseResult::Pass) {
                 return result;
             }
@@ -453,7 +693,11 @@ property! {
     ) {
         let program = generate(&GenConfig::fortran_like(n), seed);
         let ctx = format!("fortran_like({n}) seed {seed}");
-        for result in [check_full(&program, &ctx), check_closures(&program, pick, &ctx)] {
+        for result in [
+            check_full(&program, &ctx),
+            check_closures(&program, pick, &ctx),
+            check_picked_sites(&program, pick, &ctx),
+        ] {
             if !matches!(result, CaseResult::Pass) {
                 return result;
             }
@@ -467,7 +711,11 @@ property! {
     ) {
         let program = workloads::alias_heavy(n, params);
         let ctx = format!("alias_heavy({n}, {params})");
-        for result in [check_full(&program, &ctx), check_closures(&program, pick, &ctx)] {
+        for result in [
+            check_full(&program, &ctx),
+            check_closures(&program, pick, &ctx),
+            check_picked_sites(&program, pick, &ctx),
+        ] {
             if !matches!(result, CaseResult::Pass) {
                 return result;
             }

@@ -58,7 +58,7 @@ use modref_graph::DiGraph;
 use modref_guard::{Guard, Interrupt};
 use modref_ir::{flat_effects_of, CallGraph, CallSiteId, ProcId, Program, VarId};
 
-use crate::alias::AliasPairsIn;
+use crate::alias::AliasPairs;
 use crate::dmod::project_site;
 use crate::gmod_levels::close_component;
 use crate::imod_plus::fold_site;
@@ -130,7 +130,7 @@ pub struct DemandMemoIn<S: EffectSet> {
     rows: [Vec<Vec<Option<S>>>; 2],
     /// Per-side, per-procedure assembled `GMOD`/`GUSE`.
     total: [Vec<Option<S>>; 2],
-    aliases: AliasPairsIn<S>,
+    aliases: AliasPairs,
     /// `true` once a computed closure covered this procedure — its pairs
     /// are final.
     alias_done: Vec<bool>,
@@ -162,7 +162,7 @@ impl<S: EffectSet> DemandMemoIn<S> {
                 vec![vec![None; np]; nproblems],
             ],
             total: [vec![None; np], vec![None; np]],
-            aliases: AliasPairsIn::empty_impl(program),
+            aliases: AliasPairs::empty_impl(program),
             alias_done: vec![false; np],
         }
     }

@@ -65,7 +65,7 @@ mod meter;
 pub mod modsets;
 pub mod pipeline;
 
-pub use alias::{AliasPairs, AliasPairsIn};
+pub use alias::{AliasChange, AliasPairs};
 pub use demand::{
     conservative_proc_answer, conservative_site_answer, query_proc_guarded, query_site_guarded,
     DemandMemo, ProcAnswer, Side, SiteAnswer,

@@ -4,7 +4,7 @@ use modref_bitset::{BitSet, EffectSet, OpCounter};
 use modref_guard::{Guard, Interrupt};
 use modref_ir::{CallSiteId, Program};
 
-use crate::alias::AliasPairsIn;
+use crate::alias::AliasPairs;
 use crate::dmod::DmodSolutionIn;
 
 /// Per-call-site final `MOD` (or `USE`) sets.
@@ -53,7 +53,7 @@ impl<S: EffectSet> ModSolutionIn<S> {
 pub fn compute_mod<S: EffectSet>(
     program: &Program,
     dmod: &DmodSolutionIn<S>,
-    aliases: &AliasPairsIn<S>,
+    aliases: &AliasPairs,
 ) -> ModSolutionIn<S> {
     compute_mod_guarded(
         program,
@@ -78,7 +78,7 @@ pub fn compute_mod<S: EffectSet>(
 pub fn compute_mod_guarded<S: EffectSet>(
     program: &Program,
     dmod: &DmodSolutionIn<S>,
-    aliases: &AliasPairsIn<S>,
+    aliases: &AliasPairs,
     pool: &modref_par::ThreadPool,
     guard: &Guard,
 ) -> Result<ModSolutionIn<S>, Interrupt> {

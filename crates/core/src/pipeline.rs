@@ -19,7 +19,7 @@ use modref_ir::{CallGraph, CallSiteId, LocalEffects, LocalEffectsIn, ProcId, Pro
 use modref_par::ThreadPool;
 use modref_trace::Trace;
 
-use crate::alias::{AliasPairs, AliasPairsIn};
+use crate::alias::AliasPairs;
 use crate::dmod::{compute_dmod_guarded, DmodSolutionIn};
 use crate::gmod::{solve_gmod_one_level_guarded, GmodSolutionIn};
 use crate::gmod_levels::solve_gmod_levels_traced;
@@ -581,15 +581,15 @@ impl Analyzer {
         // factoring below compensates by widening the final sets instead.
         let t = Instant::now();
         let aliases = if self.skip_aliases {
-            AliasPairsIn::<S>::empty_impl(program)
+            AliasPairs::empty_impl(program)
         } else {
             let mut alias_span = self.trace.span("alias");
             let pairs = run_phase(
                 Phase::Aliases,
                 &mut failures,
                 &mut stats.wall.fallback,
-                || AliasPairsIn::<S>::compute_guarded(program, guard),
-                || AliasPairsIn::<S>::empty_impl(program),
+                || AliasPairs::compute_guarded(program, guard),
+                || AliasPairs::empty_impl(program),
             );
             let total_pairs: usize = program.procs().map(|p| pairs.pair_count(p)).sum();
             alias_span.arg("pairs", total_pairs as u64);
@@ -676,7 +676,7 @@ impl Analyzer {
             duse_sites: duse.all().iter().map(|d| d.to_dense()).collect(),
             mod_sites: sets_to_dense(mod_sites),
             use_sites: sets_to_dense(use_sites),
-            aliases: aliases.into_dense(),
+            aliases,
             beta_nodes: beta.num_nodes(),
             beta_edges: beta.num_edges(),
             stats,

@@ -21,7 +21,9 @@
 //!   variable id survived (add/remove call, rebind, add a formal-less
 //!   procedure). The cached [`DynCondensation`]s are *patched* edge by
 //!   edge (Pearce–Kelly window repair, component-local re-Tarjan), and
-//!   the patch dirt seeds the same sparse sweeps.
+//!   the patch dirt seeds the same sparse sweeps. The `ALIAS` relation
+//!   is carried across the edit by insertion and delete-and-rederive
+//!   ([`AliasPairs::update_guarded`]), not solved again.
 //! * **full** — no cache, or the variable universe changed. Everything
 //!   is rebuilt with the batch kernels.
 //!
@@ -74,7 +76,7 @@ use modref_ir::{
 use modref_par::ThreadPool;
 use modref_trace::Trace;
 
-use modref_core::AliasPairsIn;
+use modref_core::AliasPairs;
 
 use crate::script::Script;
 
@@ -134,8 +136,9 @@ struct Cache<S: EffectSet> {
     beta: BetaCache,
     /// The `GMOD` problem family, likewise maintained.
     call: CallCache<S>,
-    /// Banning alias pairs; body-independent, reusable across `set-local`.
-    aliases: AliasPairsIn<S>,
+    /// Banning alias pairs; body-independent, reusable across `set-local`
+    /// and maintained across structural patches.
+    aliases: AliasPairs,
 }
 
 /// The binding multi-graph, its dynamically maintained condensation, and
@@ -207,6 +210,14 @@ pub struct IncrStats {
     pub sites_reused: usize,
     /// See [`IncrStats::sites_reused`].
     pub sites_recomputed: usize,
+    /// `ALIAS` pairs the apply added, net. A full solve counts every pair
+    /// it derived; a structural patch counts the pairs its update added.
+    pub alias_pairs_added: usize,
+    /// `ALIAS` pairs a structural patch removed, net.
+    pub alias_pairs_removed: usize,
+    /// `ALIAS` pairs a structural patch over-deleted before re-deriving
+    /// (delete-and-rederive's removal work; see `modref_core::alias`).
+    pub alias_pairs_overdeleted: usize,
 }
 
 /// What one successful apply changed, in terms of observable results.
@@ -379,6 +390,13 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
         &self.program
     }
 
+    /// The `ALIAS` relation the final sets were factored with, mirroring
+    /// [`Summary::aliases`](modref_core::Summary::aliases); `None` while
+    /// the engine holds degraded results.
+    pub fn aliases(&self) -> Option<&AliasPairs> {
+        self.cache.as_ref().map(|c| &c.aliases)
+    }
+
     /// The counters of the most recent apply (or rebuild).
     pub fn stats(&self) -> &IncrStats {
         &self.stats
@@ -436,8 +454,12 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
             let _span = self.trace.span("incr.phase.edit");
             self.program.apply_edit(edit)?
         };
-        self.program = next;
-        match catch_unwind(AssertUnwindSafe(|| self.recompute(Some(&delta), guard))) {
+        // The pre-edit program (parts shared with the new one) is what a
+        // structural patch over-deletes alias pairs through.
+        let before = std::mem::replace(&mut self.program, next);
+        match catch_unwind(AssertUnwindSafe(|| {
+            self.recompute(Some((&before, &delta)), guard)
+        })) {
             Ok(Ok(d)) => Ok(IncrOutcome::Clean(d)),
             Ok(Err(interrupt)) => {
                 self.degrade();
@@ -530,15 +552,17 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
         };
     }
 
-    /// The one recomputation path. `delta` is `None` for a full build.
-    /// The cache and prior results are taken out *first*: any interrupt
-    /// or panic after this point leaves the engine cacheless, so a failed
-    /// apply can never leave stale intermediates behind.
+    /// The one recomputation path. `edit` is `None` for a full build, and
+    /// otherwise the pre-edit program with the edit's delta. The cache and
+    /// prior results are taken out *first*: any interrupt or panic after
+    /// this point leaves the engine cacheless, so a failed apply can never
+    /// leave stale intermediates behind.
     fn recompute(
         &mut self,
-        delta: Option<&EditDelta>,
+        edit: Option<(&Program, &EditDelta)>,
         guard: &Guard,
     ) -> Result<IncrDelta, Interrupt> {
+        let delta = edit.map(|(_, d)| d);
         let cache = self.cache.take();
         let prior_res = std::mem::take(&mut self.res);
         let mut stats = IncrStats::default();
@@ -867,22 +891,32 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
         let phase_span = self.trace.span("incr.phase.final");
         guard.checkpoint("incr.final")?;
         // `caller_stale[p]`: old results of sites in `p` cannot be reused,
-        // because `ALIAS(p)` may differ from the relation they were
-        // factored with, or because a patch touched `p` — the only sign of
-        // a `rebind`, which changes a site's actuals but not its id.
-        let (aliases, mut caller_stale) = match (mode, old_aliases) {
+        // because `ALIAS(p)` differs from the relation they were factored
+        // with, or because a patch touched `p` — the only sign of a
+        // `rebind`, which changes a site's actuals but not its id.
+        let (aliases, mut caller_stale) = match (mode, old_aliases, edit) {
             // Alias pairs depend only on call sites and visibility, both
             // unchanged under a set-local edit.
-            (Mode::SetLocal, Some(a)) => (a, vec![false; np]),
-            (Mode::Patch, Some(old_a)) => {
-                let a = AliasPairsIn::compute_guarded(program, guard)?;
-                let dirty = program.procs().map(|p| !a.same_pairs(&old_a, p)).collect();
-                (a, dirty)
+            (Mode::SetLocal, Some(a), _) => (a, vec![false; np]),
+            // A patch keeps every procedure and variable id, so the
+            // relation is carried across it by insertion and DRed, and the
+            // update names the procedures whose relation changed.
+            (Mode::Patch, Some(old_a), Some((before, d))) => {
+                let (a, change) = old_a.update_guarded(before, program, d, guard)?;
+                stats.alias_pairs_added = change.pairs_added;
+                stats.alias_pairs_removed = change.pairs_removed;
+                stats.alias_pairs_overdeleted = change.pairs_overdeleted;
+                let mut stale = vec![false; np];
+                for p in change.changed {
+                    stale[p.index()] = true;
+                }
+                (a, stale)
             }
-            _ => (
-                AliasPairsIn::compute_guarded(program, guard)?,
-                vec![true; np],
-            ),
+            _ => {
+                let a = AliasPairs::compute_guarded(program, guard)?;
+                stats.alias_pairs_added = program.procs().map(|p| a.pair_count(p)).sum();
+                (a, vec![true; np])
+            }
         };
         if let (Mode::Patch, Some(d)) = (mode, delta) {
             for &p in &d.touched_procs {
@@ -986,6 +1020,9 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
         span.arg("gmod_recomputed", stats.gmod_components_recomputed as u64);
         span.arg("sites_reused", stats.sites_reused as u64);
         span.arg("sites_recomputed", stats.sites_recomputed as u64);
+        span.arg("alias_added", stats.alias_pairs_added as u64);
+        span.arg("alias_removed", stats.alias_pairs_removed as u64);
+        span.arg("alias_overdeleted", stats.alias_pairs_overdeleted as u64);
         self.stats = stats;
         Ok(IncrDelta {
             changed_procs,

@@ -10,7 +10,9 @@
 //! 3. the cache is left coherent — the failed apply drops it, and the
 //!    next clean apply is again bit-identical to a from-scratch run.
 
-use modref_core::{Analyzer, Budget, EffectSet, FaultPlan, Guard, HybridSet, Interrupt};
+use modref_core::{
+    AliasPairs, Analyzer, Budget, EffectSet, FaultPlan, Guard, HybridSet, Interrupt,
+};
 use modref_incr::{Edit, IncrDegradeReason, IncrOutcome, IncrementalEngine, IncrementalEngineIn};
 use modref_ir::{Actual, Expr, ProcId, Program, VarId};
 use modref_progen::{generate, GenConfig};
@@ -495,63 +497,181 @@ fn alias_rich_program() -> Program {
     generate(&GenConfig::pascal_like(80, 4), 3)
 }
 
-#[test]
-fn budget_trip_inside_the_patch_alias_worklist_degrades_soundly_and_recovers() {
-    // The patch path's alias solve starts right after the `incr.final`
-    // checkpoint and is the last thing the apply charges boolean steps
-    // for: a cap halfway between the charge at the checkpoint and the
-    // charge of a full apply trips inside the worklist.
-    let program = alias_rich_program();
-    let edit = structural_edit(&program);
+/// The removal of the call site of [`alias_rich_program`] whose alias
+/// update over-deletes the most pairs, with the caller's pair count: an
+/// edit that keeps delete-and-rederive busy for hundreds of work items.
+fn alias_churning_removal(program: &Program) -> (Edit, usize) {
+    let aliases = AliasPairs::compute(program);
+    let mut best = None;
+    let mut most = 0;
+    for site in program.sites() {
+        let edit = Edit::RemoveCallSite { site };
+        let (after, delta) = program.apply_edit(&edit).expect("removable");
+        let (_, change) = aliases
+            .clone()
+            .update_guarded(program, &after, &delta, &Guard::unlimited())
+            .expect("unlimited");
+        if change.pairs_overdeleted > most {
+            most = change.pairs_overdeleted;
+            best = Some((edit, aliases.pair_count(program.site(site).caller())));
+        }
+    }
+    best.expect("the program has alias pairs to over-delete")
+}
+
+/// Charges of one structural apply of `edit` on a fresh engine:
+/// `(at the alias update's entry, whole apply)`, plus the clean apply's
+/// over-deleted pair count.
+fn alias_update_window(program: &Program, edit: &Edit) -> (u64, u64, usize) {
+    // The update starts right after the `incr.final` checkpoint and is the
+    // last thing the apply charges boolean steps for.
     let at_checkpoint = counting_guard().with_faults(FaultPlan::new().exhaust_at("incr.final"));
     let mut engine = IncrementalEngine::new(program.clone());
     let outcome = engine
-        .apply_guarded(&edit, &at_checkpoint)
+        .apply_guarded(edit, &at_checkpoint)
         .expect("valid edit");
     assert!(outcome.is_degraded());
     let before = at_checkpoint.charged().1;
     let full = counting_guard();
     let mut engine = IncrementalEngine::new(program.clone());
-    let outcome = engine.apply_guarded(&edit, &full).expect("valid edit");
+    let outcome = engine.apply_guarded(edit, &full).expect("valid edit");
     assert!(matches!(outcome, IncrOutcome::Clean(_)));
     assert!(
         !engine.stats().full_rebuild,
         "the edit must take the patch path"
     );
-    let total = full.charged().1;
-    assert!(
-        total >= before + 256,
-        "alias solve too small: {before}..{total}"
-    );
+    (
+        before,
+        full.charged().1,
+        engine.stats().alias_pairs_overdeleted,
+    )
+}
 
-    let guard = Guard::new(&Budget::unlimited().with_bool_steps(before + (total - before) / 2));
-    let mut engine = IncrementalEngine::new(program);
-    let outcome = engine.apply_guarded(&edit, &guard).expect("valid edit");
+/// Applies `edit` on a fresh engine under a boolean-step cap of `cap`,
+/// requires a budget degrade charged at `before + (lo, hi]`, soundness,
+/// and an exact next apply.
+fn trip_alias_update(program: &Program, edit: &Edit, cap: u64, window: (u64, u64), ctx: &str) {
+    let guard = Guard::new(&Budget::unlimited().with_bool_steps(cap));
+    let mut engine = IncrementalEngine::new(program.clone());
+    let outcome = engine.apply_guarded(edit, &guard).expect("valid edit");
     let charged = guard.charged().1;
     assert!(
-        before < charged && charged < total,
-        "tripped outside the worklist: {charged}"
+        window.0 < charged && charged <= window.1,
+        "{ctx}: tripped outside {window:?}: {charged}"
     );
     let IncrOutcome::Degraded { reason } = outcome else {
-        panic!("a cap inside the alias worklist must degrade the apply");
+        panic!("{ctx}: a cap inside the alias update must degrade the apply");
     };
     assert!(
         matches!(
             reason,
             IncrDegradeReason::Interrupted(Interrupt::BoolBudget)
         ),
-        "unexpected degrade reason {reason}"
+        "{ctx}: unexpected degrade reason {reason}"
     );
-    assert_superset(&engine, "patch alias mid-worklist");
+    assert!(engine.aliases().is_none(), "{ctx}: the relation is dropped");
+    assert_superset(&engine, ctx);
     let next = perturbing_edit(engine.program());
     match engine
         .apply_guarded(&next, &Guard::unlimited())
         .expect("valid edit")
     {
         IncrOutcome::Clean(_) => {}
-        IncrOutcome::Degraded { reason } => panic!("clean apply degraded: {reason}"),
+        IncrOutcome::Degraded { reason } => panic!("{ctx}: clean apply degraded: {reason}"),
     }
-    assert_bit_identical(&engine, "recovery after a patch alias trip");
+    assert_bit_identical(&engine, &format!("recovery after {ctx}"));
+}
+
+#[test]
+fn budget_trip_inside_the_patch_alias_worklist_degrades_soundly_and_recovers() {
+    // A cap halfway between the charge at the update's entry and the
+    // charge of a full apply trips inside the update.
+    let program = alias_rich_program();
+    let (edit, _) = alias_churning_removal(&program);
+    let (before, total, _) = alias_update_window(&program, &edit);
+    assert!(
+        total >= before + 256,
+        "alias update too small: {before}..{total}"
+    );
+    let cap = before + (total - before) / 2;
+    trip_alias_update(
+        &program,
+        &edit,
+        cap,
+        (before, total - 1),
+        "patch alias mid-worklist",
+    );
+}
+
+#[test]
+fn budget_trips_inside_over_deletion_and_re_derivation_degrade_soundly_and_recover() {
+    // The update charges one boolean step per item and polls every 64:
+    // over-deletion processes the removed site, one push of each caller
+    // pair through it and each over-deleted pair; re-derivation then
+    // checks each over-deleted pair once. A cap `c` steps past the
+    // update's entry trips at the first poll past `c`, so halfway into
+    // each stretch lands inside it once the stretch holds 128 items.
+    let program = alias_rich_program();
+    let (edit, caller_pairs) = alias_churning_removal(&program);
+    let (before, _, overdeleted) = alias_update_window(&program, &edit);
+    let deletion = (1 + caller_pairs + overdeleted) as u64;
+    let rederivation = overdeleted as u64;
+    assert!(
+        deletion >= 128 && rederivation >= 128,
+        "stretches too short: {deletion} / {rederivation}"
+    );
+    trip_alias_update(
+        &program,
+        &edit,
+        before + deletion / 2,
+        (before, before + deletion),
+        "over-deletion",
+    );
+    trip_alias_update(
+        &program,
+        &edit,
+        before + deletion + rederivation / 2,
+        (before + deletion, before + deletion + rederivation),
+        "re-derivation",
+    );
+}
+
+#[test]
+fn a_fault_pinned_at_alias_degrades_a_structural_apply() {
+    // The maintained update still passes the `alias` checkpoint, so
+    // seeded and pinned fault plans reach it on the patch path.
+    let program = alias_rich_program();
+    let (edit, _) = alias_churning_removal(&program);
+    for (i, plan) in [
+        FaultPlan::new().panic_at("alias"),
+        FaultPlan::new().exhaust_at("alias"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut engine = IncrementalEngine::new(program.clone());
+        let outcome = engine
+            .apply_guarded(&edit, &Guard::unlimited().with_faults(plan))
+            .expect("valid edit");
+        let IncrOutcome::Degraded { reason } = outcome else {
+            panic!("plan {i}: a fault at `alias` must degrade the patch apply");
+        };
+        match (i, &reason) {
+            (0, IncrDegradeReason::Panic(m)) => assert!(m.contains("`alias`"), "{m}"),
+            (1, IncrDegradeReason::Interrupted(Interrupt::BitvecBudget)) => {}
+            _ => panic!("plan {i}: unexpected degrade reason {reason}"),
+        }
+        assert_superset(&engine, &format!("fault plan {i} at `alias`"));
+        let next = structural_edit(engine.program());
+        match engine
+            .apply_guarded(&next, &Guard::unlimited())
+            .expect("valid edit")
+        {
+            IncrOutcome::Clean(_) => {}
+            IncrOutcome::Degraded { reason } => panic!("plan {i}: clean apply degraded: {reason}"),
+        }
+        assert_bit_identical(&engine, &format!("recovery after fault plan {i}"));
+    }
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //!
 //! For generated programs and random edit scripts, after **every** prefix
 //! of the script the engine's results must be bit-identical — every
-//! intermediate (`IMOD`, `RMOD`/`RUSE`, `IMOD⁺`, `GMOD`/`GUSE`) and every
-//! final per-site set — to a from-scratch [`Analyzer`] run on the edited
-//! program, both single-threaded and with a worker pool. Rejected edits
+//! intermediate (`IMOD`, `RMOD`/`RUSE`, `IMOD⁺`, `GMOD`/`GUSE`, and the
+//! `ALIAS` relation the engine maintains across structural edits) and
+//! every final per-site set — to a from-scratch [`Analyzer`] run on the
+//! edited program, both single-threaded and with a worker pool. Rejected edits
 //! must leave everything untouched (they are skipped, which also covers
 //! the reject path). Replay a failure with
 //! `MODREF_SEED=<seed> cargo test -p modref-incr --test incr_equiv`.
@@ -25,7 +26,22 @@ fn check_matches_scratch(
 ) -> CaseResult {
     let program = engine.program();
     let scratch = Analyzer::new().threads(threads).analyze(program);
+    let Some(aliases) = engine.aliases() else {
+        return CaseResult::Fail(format!(
+            "no alias relation at step {step} / {threads} threads (seed {seed})"
+        ));
+    };
     for p in program.procs() {
+        prop_assert!(
+            aliases.same_pairs(scratch.aliases(), p),
+            "ALIAS({}) diverged at step {} / {} threads (seed {}): {} pairs, scratch {}",
+            p,
+            step,
+            threads,
+            seed,
+            aliases.pair_count(p),
+            scratch.aliases().pair_count(p)
+        );
         prop_assert_eq!(
             engine.imod(p),
             scratch.local_effects().imod(p),

@@ -227,7 +227,24 @@ grep -q "script line 1" ci_edits.err || {
     echo "a bad edit script must name the offending line" >&2
     exit 1
 }
-rm -f ci_session.edits ci_edits.out ci_edits.err
+# Structural edits carry the alias relation across by insertion and
+# delete-and-rederive rather than solving it again, so an edit followed
+# by its inverse must print the same bytes as a plain run. The appended
+# `bump(total, total)` (site 4, after `deep` in `helper` and the three
+# calls in `main`) creates ⟨x,amount⟩, ⟨x,total⟩ and ⟨amount,total⟩ in
+# `bump`; the rebind swaps `bump`'s first actual at site 1 and back.
+env -u MODREF_FAULT "$MODREF" analyze "$DEMO" --json > ci_plain.json
+for edits in 'add-call main bump args=total,total\nremove-call 4\n' \
+             'rebind 1 0 count\nrebind 1 0 total\n'; do
+    printf "$edits" > ci_session.edits
+    env -u MODREF_FAULT "$MODREF" analyze "$DEMO" --edits ci_session.edits --json > ci_edits.json
+    cmp ci_plain.json ci_edits.json || {
+        echo "--edits with an edit and its inverse must match plain analyze --json:" >&2
+        printf "$edits" >&2
+        exit 1
+    }
+done
+rm -f ci_session.edits ci_edits.out ci_edits.err ci_plain.json ci_edits.json
 
 # Served mode end-to-end: boot the daemon on an OS-assigned port, drive
 # a full session lifecycle over the wire, and require the served query
