@@ -311,32 +311,33 @@ impl DynCondensation {
         }
         debug_assert_eq!(shared.is_empty(), !in_f[lo], "cycle ⟺ cu ∈ F");
 
-        // New occupancy of the pool slots: descendants of cv first
-        // (smallest ids), then the merged cycle (if any), then ancestors
-        // of cu. Relative order within each class is preserved, F members
-        // never gain id, B members never lose id — every quotient edge
-        // keeps pointing high → low (see tests for the property check).
+        // New occupancy of the pool slots: descendants of cv take the
+        // lowest slots, ancestors of cu the highest, and the merged cycle
+        // (if any) the slot just below the ancestors. Relative order
+        // within each class is preserved, F members never gain id, B
+        // members never lose id — so every quotient edge, including those
+        // to components of the window outside F ∪ B, keeps pointing
+        // high → low (see tests for the property check).
         let mut map: Vec<SccId> = (0..k).collect();
-        let mut slot = 0usize;
-        for &c in &f_only {
-            map[c] = pool[slot];
-            slot += 1;
+        for (&c, &slot) in f_only.iter().zip(&pool) {
+            map[c] = slot;
         }
+        let b_start = pool.len() - b_only.len();
+        for (&c, &slot) in b_only.iter().zip(&pool[b_start..]) {
+            map[c] = slot;
+        }
+        let mut holes: &[SccId] = &[];
         if !shared.is_empty() {
             for &c in &shared {
-                map[c] = pool[slot];
+                map[c] = pool[b_start - 1];
             }
-            slot += 1;
+            holes = &pool[f_only.len()..b_start - 1];
         }
-        for &c in &b_only {
-            map[c] = pool[slot];
-            slot += 1;
-        }
-        // A merge vacates the |shared| − 1 highest pool slots; compact the
-        // numbering by shifting every id above each hole down. Compaction
-        // is strictly monotone on occupied ids, so it preserves the
-        // invariant the slot assignment established.
-        let holes = &pool[slot..];
+        // A merge vacates the |shared| − 1 slots between the descendants
+        // and the merged cycle; compact the numbering by shifting every
+        // id above each hole down. Compaction is strictly monotone on
+        // occupied ids, so it preserves the invariant the slot assignment
+        // established.
         if !holes.is_empty() {
             for m in &mut map {
                 debug_assert!(holes.binary_search(m).is_err(), "occupied id is a hole");

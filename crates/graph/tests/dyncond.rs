@@ -306,6 +306,67 @@ fn parallel_edges_and_self_loops_dedup() {
     assert_eq!(sweep.recomputed(), 2);
 }
 
+/// Replays a churn script (see [`arb_churn`]), auditing after every
+/// patch.
+fn replay_churn(n: usize, ops: &[(u8, usize, usize)]) -> CaseResult {
+    let mut dc = DynCondensation::build(DiGraph::new(n));
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    check_audit!(&dc, &edges);
+    for &(kind, a, b) in ops {
+        if kind < 6 || edges.is_empty() {
+            let (u, v) = (a % n, b % n);
+            dc.insert_edge(u, v);
+            edges.push((u, v));
+        } else {
+            let (u, v) = edges.swap_remove(b % edges.len());
+            dc.delete_edge(u, v);
+        }
+        check_audit!(&dc, &edges);
+    }
+    CaseResult::Pass
+}
+
+/// A merge whose window also holds a component outside both the
+/// descendants of the new edge's head and the ancestors of its tail: the
+/// ancestors must keep the highest slots, or an ancestor's edge into that
+/// component ends up pointing low → high. (Shrunk from a failing churn
+/// case.)
+#[test]
+fn merge_keeps_ancestors_above_untouched_window_components() {
+    let ops = [
+        (6, 4, 440841910),
+        (5, 4, 395722421),
+        (1, 6, 490197356),
+        (2, 1, 880006519),
+        (8, 2, 524928914),
+        (5, 0, 762506122),
+        (7, 6, 1022776028),
+        (5, 5, 647434774),
+        (4, 3, 458595141),
+        (2, 1, 898522978),
+        (0, 0, 221727784),
+        (1, 6, 775333267),
+        (0, 0, 120363038),
+        (2, 3, 213127543),
+        (4, 1, 497299720),
+        (4, 0, 261114809),
+        (0, 6, 328592413),
+        (4, 4, 658345739),
+        (7, 0, 479630728),
+        (8, 3, 492714402),
+        (6, 6, 62610858),
+        (9, 0, 691639182),
+        (6, 4, 870472675),
+        (9, 3, 1020099422),
+        (1, 1, 350781794),
+        (3, 4, 941347657),
+        (1, 2, 45217516),
+    ];
+    if let CaseResult::Fail(why) = replay_churn(7, &ops) {
+        panic!("{why}");
+    }
+}
+
 property! {
     #![cases = 64]
 
@@ -313,19 +374,8 @@ property! {
     /// the maintained condensation equals a from-scratch recompute.
     fn dyncond_equals_scratch_under_churn(case in arb_churn()) {
         let (n, ops) = case;
-        let mut dc = DynCondensation::build(DiGraph::new(n));
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        check_audit!(&dc, &edges);
-        for &(kind, a, b) in &ops {
-            if kind < 6 || edges.is_empty() {
-                let (u, v) = (a % n, b % n);
-                dc.insert_edge(u, v);
-                edges.push((u, v));
-            } else {
-                let (u, v) = edges.swap_remove(b % edges.len());
-                dc.delete_edge(u, v);
-            }
-            check_audit!(&dc, &edges);
+        if let fail @ CaseResult::Fail(_) = replay_churn(n, &ops) {
+            return fail;
         }
     }
 

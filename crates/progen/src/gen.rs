@@ -1,5 +1,7 @@
 //! The seeded program generator.
 
+use std::collections::HashSet;
+
 use modref_check::Rng;
 use modref_ir::{
     Actual, BinOp, Expr, ProcId, Program, ProgramBuilder, Ref, Stmt, Subscript, VarId,
@@ -321,20 +323,23 @@ impl Gen<'_> {
     /// Procedures callable from `p` (children, ancestors, and children of
     /// ancestors), excluding main.
     fn visible_callees(&self, b: &ProgramBuilder, p: ProcId) -> Vec<ProcId> {
+        // First-seen order with a hash-set membership test: a linear
+        // `contains` made this quadratic in the number of siblings.
         let mut out: Vec<ProcId> = Vec::new();
-        let push = |q: ProcId, out: &mut Vec<ProcId>| {
-            if q != ProcId::MAIN && !out.contains(&q) {
+        let mut seen: HashSet<ProcId> = HashSet::new();
+        let mut push = |q: ProcId| {
+            if q != ProcId::MAIN && seen.insert(q) {
                 out.push(q);
             }
         };
         for &c in children_of(b, p) {
-            push(c, &mut out);
+            push(c);
         }
         let mut cursor = parent_opt(b, p);
         while let Some(a) = cursor {
-            push(a, &mut out);
+            push(a);
             for &c in children_of(b, a) {
-                push(c, &mut out);
+                push(c);
             }
             cursor = parent_opt(b, a);
         }

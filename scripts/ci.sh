@@ -5,7 +5,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== guard: no registry dependencies in any manifest =="
+# Each `section` closes the previous one with its elapsed wall seconds
+# (bash's SECONDS), so a slow gate shows up in the log by name.
+section_name=""
+section_start=0
+section() {
+    if [ -n "$section_name" ]; then
+        echo "-- $section_name: $((SECONDS - section_start)) s"
+    fi
+    section_name="$1"
+    section_start=$SECONDS
+    echo "== $1 =="
+}
+
+section "guard: no registry dependencies in any manifest"
 # Path-only dependencies are the policy. A registry dependency is any
 # [*dependencies] entry that carries a version requirement instead of a
 # `path`/`workspace` reference — catch both the member manifests and the
@@ -39,24 +52,24 @@ echo "ok"
 # Formatting is gated so every edit can be plain `cargo fmt` output.
 # `--all` covers the root workspace; `perfbench/` is its own workspace
 # and is not checked here.
-echo "== format check =="
+section "format check"
 cargo fmt --all --check
 echo "ok"
 
-echo "== build (release, offline) =="
+section "build (release, offline)"
 cargo build --release --offline
 
 # `cargo test` never compiles `[[bench]]` targets and this script runs
 # only three of them, so a change that breaks another bench, example or
 # test target would otherwise go unseen. Type-check every target.
-echo "== check every target (offline) =="
+section "check every target (offline)"
 cargo check --offline --workspace --all-targets
 
 # The benchmark is its own Cargo workspace, so the build above does not
 # compile it. Building it here makes a change to the library surface it
 # calls (SiteSets, the renderers, the serve client) fail CI instead of
 # the next benchmark run.
-echo "== build benchmark (release, offline) =="
+section "build benchmark (release, offline)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 # The whole suite runs twice: once pinned to one thread and once with a
@@ -64,10 +77,10 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # exercises both the sequential and the parallel pipeline (results must
 # be bit-identical — par_equiv checks that differentially, this checks
 # nothing else regresses under either default).
-echo "== tests (offline, MODREF_THREADS=1) =="
+section "tests (offline, MODREF_THREADS=1)"
 MODREF_THREADS=1 cargo test -q --offline
 
-echo "== tests (offline, MODREF_THREADS=4) =="
+section "tests (offline, MODREF_THREADS=4)"
 MODREF_THREADS=4 cargo test -q --offline
 
 # Third pass: fault injection armed. MODREF_FAULT seeds a deterministic
@@ -80,7 +93,7 @@ MODREF_THREADS=4 cargo test -q --offline
 # replayable.
 for fault_seed in 20260806 7; do
     for t in 1 4; do
-        echo "== tests (offline, MODREF_FAULT=$fault_seed, MODREF_THREADS=$t) =="
+        section "tests (offline, MODREF_FAULT=$fault_seed, MODREF_THREADS=$t)"
         MODREF_FAULT=$fault_seed MODREF_THREADS=$t cargo test -q --offline
     done
 done
@@ -89,7 +102,7 @@ done
 # degrade (exit 3, not a crash), and the same command unbudgeted must be
 # byte-identical to the unguarded run even with MODREF_FAULT unset vs set
 # on the clean path (the CLI only arms faults it is told about).
-echo "== cli degradation contract =="
+section "cli degradation contract"
 MODREF="target/release/modref"
 DEMO="examples/programs/demo.mp"
 set +e
@@ -117,7 +130,7 @@ rm -f ci_plain.out ci_guarded.out
 # to the plain run) and the emitted file must be a valid Chrome trace
 # that names the pipeline phases — `trace-check` is the binary's own
 # validator, the grep pins the span set.
-echo "== cli trace contract =="
+section "cli trace contract"
 env -u MODREF_FAULT "$MODREF" analyze "$DEMO" > ci_plain.out
 env -u MODREF_FAULT "$MODREF" analyze "$DEMO" --trace ci_trace.json --metrics \
     > ci_traced.out 2> ci_metrics.err
@@ -147,18 +160,18 @@ rm -f ci_plain.out ci_traced.out ci_metrics.err ci_trace.json ci_tracecheck.out
 # exhaustive ≤4-procedure enumeration — the sampling-free solver oracle.
 # Both also run inside the full passes above; the explicit invocation
 # keeps them from silently dropping out of the suite.
-echo "== incremental differential suites (MODREF_THREADS=1 and 4) =="
+section "incremental differential suites (MODREF_THREADS=1 and 4)"
 for t in 1 4; do
     MODREF_THREADS=$t cargo test -q --offline -p modref-incr
 done
-echo "== exhaustive small-world solver enumeration =="
+section "exhaustive small-world solver enumeration"
 cargo test -q --offline -p modref-core --test exhaustive
 
 # Set-representation differential wall: the bitset-level op equivalence
 # suite, the full-pipeline dense≡hybrid enumeration inside `exhaustive`
 # (runs above), and the binary end-to-end — every `--set-repr` value
 # must produce a byte-identical report, and the default must be dense.
-echo "== set-representation differential wall =="
+section "set-representation differential wall"
 cargo test -q --offline -p modref-bitset --test repr_equiv
 env -u MODREF_FAULT "$MODREF" analyze "$DEMO" > ci_repr_default.out
 for repr in dense hybrid auto; do
@@ -176,7 +189,7 @@ rm -f ci_repr_default.out ci_repr_dense.out ci_repr_hybrid.out ci_repr_auto.out
 # see EXPERIMENTS.md E11). The JSON is regenerated from zero so stale
 # rows from earlier builds can neither fail a healthy run nor mask a
 # regression.
-echo "== incremental bench regression gate =="
+section "incremental bench regression gate"
 rm -f target/modref-bench/BENCH_incrscale.json
 cargo bench --bench incrscale --offline
 cargo run --release --offline -p modref-bench --bin bench_gate -- \
@@ -187,7 +200,7 @@ cargo run --release --offline -p modref-bench --bin bench_gate -- \
 # units, deterministic) on every workload — see docs/QUERY.md and
 # EXPERIMENTS.md E12. Timed rows ride along for the human-readable
 # speedup but only the recorded op counts are gated.
-echo "== demand-query sublinearity gate =="
+section "demand-query sublinearity gate"
 rm -f target/modref-bench/BENCH_demand.json
 cargo bench --bench demand --offline
 cargo run --release --offline -p modref-bench --bin bench_gate -- \
@@ -198,7 +211,7 @@ cargo run --release --offline -p modref-bench --bin bench_gate -- \
 # representation `--set-repr auto` resolves must never cost more than
 # 1.10x dense on any cell (the heuristic may only pick winners; see
 # docs/SETREPR.md and the checked-in BENCH_setrepr.json).
-echo "== set-representation bench gate =="
+section "set-representation bench gate"
 rm -f target/modref-bench/BENCH_setrepr.json
 cargo bench --bench setrepr --offline
 cargo run --release --offline -p modref-bench --bin bench_gate -- \
@@ -207,7 +220,7 @@ cargo run --release --offline -p modref-bench --bin bench_gate -- \
 
 # The --edits mode end-to-end: a script applies, the report reflects the
 # edited program, and a bad script fails with the offending line.
-echo "== cli --edits contract =="
+section "cli --edits contract"
 printf 'set-local bump mod=count use=total\n' > ci_session.edits
 env -u MODREF_FAULT "$MODREF" analyze "$DEMO" --edits ci_session.edits > ci_edits.out
 grep -q "after 1 edits" ci_edits.out || {
@@ -250,7 +263,7 @@ rm -f ci_session.edits ci_edits.out ci_edits.err ci_plain.json ci_edits.json
 # a full session lifecycle over the wire, and require the served query
 # report to be byte-identical to the batch `analyze --json` run — the
 # same program must answer the same regardless of transport.
-echo "== serve contract =="
+section "serve contract"
 env -u MODREF_FAULT "$MODREF" serve --addr 127.0.0.1:0 2> ci_serve.addr &
 serve_pid=$!
 trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
@@ -285,7 +298,7 @@ rm -f ci_serve.addr ci_drive.txt ci_served.out ci_client.err ci_batch.out
 # bit-identical to a from-scratch analysis of the same edited program.
 # Both also run inside the full passes above; the explicit invocation
 # keeps the wall from silently dropping out of the suite.
-echo "== serve soak (MODREF_THREADS=1 and 4) =="
+section "serve soak (MODREF_THREADS=1 and 4)"
 for t in 1 4; do
     MODREF_THREADS=$t cargo test -q --offline -p modref-serve --test soak
 done
@@ -293,7 +306,7 @@ done
 # The kill-and-restart chaos wall (cargo side): seeded MODREF_CRASH
 # aborts mid-edit-stream, restart recovery, torn-tail truncation, the
 # late-booting client, and SIGTERM drain — at both thread defaults.
-echo "== serve crash wall (MODREF_THREADS=1 and 4) =="
+section "serve crash wall (MODREF_THREADS=1 and 4)"
 for t in 1 4; do
     MODREF_THREADS=$t cargo test -q --offline -p modref-cli --test chaos
 done
@@ -306,7 +319,7 @@ done
 # an abort *before* an append (the record is lost) and an abort *mid*
 # write (a torn tail recovery must truncate). Record 1 is the open
 # snapshot, so edit k is record k+1.
-echo "== serve chaos (kill, restart, recover) =="
+section "serve chaos (kill, restart, recover)"
 printf 'set-local deep mod=total,count use=total\nadd-call main bump args=total,3\nremove-call 0\n' > ci_chaos.edits
 printf 'open s examples/programs/demo.mp\nedit s ci_chaos.edits\n' > ci_chaos_drive.txt
 printf 'query s all\n' > ci_chaos_query.txt
@@ -374,4 +387,5 @@ rm -rf ci_chaos_state
 rm -f ci_chaos.edits ci_chaos_drive.txt ci_chaos_query.txt ci_chaos.addr \
     ci_chaos_prefix.edits ci_chaos_served.out ci_chaos_batch.out
 
-echo "CI green"
+echo "-- $section_name: $((SECONDS - section_start)) s"
+echo "CI green in $SECONDS s"
