@@ -50,4 +50,6 @@ mod multigraph;
 mod rmod;
 
 pub use multigraph::{BindingGraph, SizeReport};
-pub use rmod::{solve_rmod, solve_rmod_traced, RmodSolution, RmodSolutionIn};
+pub use rmod::{
+    rmod_broadcast, rmod_seed, solve_rmod, solve_rmod_traced, RmodSolution, RmodSolutionIn,
+};

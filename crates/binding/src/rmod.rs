@@ -156,24 +156,13 @@ pub fn solve_rmod_traced<S: EffectSet>(
     let mut stride = Strided::new(512);
     let n = beta.num_nodes();
 
-    // IMOD(fp) per β node: is the formal modified locally in its owner
-    // (with the §3.3 nesting extension already folded into `effects`)?
-    let mut imod_bit = Vec::with_capacity(n);
-    {
+    let imod_bit = {
         let mut span = trace.span("rmod.seed");
-        for node in 0..n {
-            stride.tick(guard)?;
-            let formal = beta.formal_of_node(node);
-            let (owner, _) = program
-                .formal_position(formal)
-                .expect("β nodes are formals");
-            stats.bool_steps += 1;
-            stats.nodes_visited += 1;
-            imod_bit.push(initial[owner.index()].contains(formal.index()));
-        }
+        let seeds = rmod_seed(program, initial, beta, &mut stride, guard, &mut stats)?;
         span.arg("beta_nodes", n as u64);
         span.arg("bool_steps", stats.bool_steps);
-    }
+        seeds
+    };
     settle(guard, &stats, &mut last);
 
     // Step (1): SCCs.
@@ -220,19 +209,99 @@ pub fn solve_rmod_traced<S: EffectSet>(
     settle(guard, &stats, &mut last);
 
     // Step (4): broadcast to members, materialising per-procedure sets.
-    // Formals never bound at any site have no β node; their RMOD bit is
-    // just their IMOD bit.
     let before_broadcast = stats.bool_steps;
     let mut broadcast_span = trace.span("rmod.broadcast");
     broadcast_span.arg("pooled", u64::from(!pool.is_sequential()));
-    let mut rmod;
-    let mut modified = S::empty(program.num_vars());
+    let (rmod, modified) = rmod_broadcast(
+        program,
+        initial,
+        beta,
+        |node| rep_value[sccs.component_of(node)],
+        pool,
+        &mut stride,
+        guard,
+        &mut stats,
+    )?;
+    if !pool.is_sequential() {
+        settle(guard, &stats, &mut last);
+        guard.check()?;
+    }
+    broadcast_span.arg("bool_steps", stats.bool_steps - before_broadcast);
+    drop(broadcast_span);
+
+    Ok(RmodSolutionIn {
+        rmod,
+        modified,
+        stats,
+    })
+}
+
+/// Figure 1's seed: for each β node, whether its formal is in its
+/// owner's `initial` set — `IMOD(fp)` with the §3.3 nesting extension
+/// already folded into `initial`. Counts one boolean step and one node
+/// visit per node in `stats` and polls `guard` every `stride` ticks; the
+/// caller charges the steps.
+///
+/// # Errors
+///
+/// Returns the guard's [`Interrupt`] if a poll finds it tripped.
+pub fn rmod_seed<S: EffectSet>(
+    program: &Program,
+    initial: &[S],
+    beta: &BindingGraph,
+    stride: &mut Strided,
+    guard: &Guard,
+    stats: &mut OpCounter,
+) -> Result<Vec<bool>, Interrupt> {
+    let n = beta.num_nodes();
+    let mut seeds = Vec::with_capacity(n);
+    for node in 0..n {
+        stride.tick(guard)?;
+        let formal = beta.formal_of_node(node);
+        let (owner, _) = program
+            .formal_position(formal)
+            .expect("β nodes are formals");
+        stats.bool_steps += 1;
+        stats.nodes_visited += 1;
+        seeds.push(initial[owner.index()].contains(formal.index()));
+    }
+    Ok(seeds)
+}
+
+/// Figure 1's step (4): broadcasts each β node's final value
+/// (`in_rmod(node)`) to its formal, materialising every `RMOD(p)` and
+/// their union. Formals never bound at any site have no β node; their
+/// bit is their `initial` bit. Counts one boolean step per visited node
+/// and formal in `stats`; the caller charges them.
+///
+/// A pooled `pool` runs one task per procedure, each writing only its own
+/// set from the final node values, so the sets match the sequential
+/// sweep exactly. Workers drop out between chunks once the guard trips;
+/// a direct poll inside the body turns a passed deadline into a trip
+/// even while every thread is busy here.
+///
+/// # Errors
+///
+/// Returns the guard's [`Interrupt`] if a poll finds it tripped.
+#[allow(clippy::too_many_arguments)]
+pub fn rmod_broadcast<S: EffectSet>(
+    program: &Program,
+    initial: &[S],
+    beta: &BindingGraph,
+    in_rmod: impl Fn(usize) -> bool + Sync,
+    pool: &modref_par::ThreadPool,
+    stride: &mut Strided,
+    guard: &Guard,
+    stats: &mut OpCounter,
+) -> Result<(Vec<S>, S), Interrupt> {
+    let nv = program.num_vars();
+    let mut modified = S::empty(nv);
     if pool.is_sequential() {
-        rmod = vec![S::empty(program.num_vars()); program.num_procs()];
-        for node in 0..n {
+        let mut rmod = vec![S::empty(nv); program.num_procs()];
+        for node in 0..beta.num_nodes() {
             stride.tick(guard)?;
             stats.bool_steps += 1;
-            if rep_value[sccs.component_of(node)] {
+            if in_rmod(node) {
                 let formal = beta.formal_of_node(node);
                 let (owner, _) = program.formal_position(formal).expect("formal");
                 rmod[owner.index()].insert(formal.index());
@@ -249,59 +318,42 @@ pub fn solve_rmod_traced<S: EffectSet>(
                 }
             }
         }
-    } else {
-        // One task per procedure: each writes only its own set, reading
-        // the final representer values, so the sets (though not the order
-        // in which they are produced) match the sequential sweep exactly.
-        // Workers drop out between chunks once the guard trips; an
-        // occasional direct poll inside the body converts a passed
-        // deadline or cancellation into a trip even while every thread is
-        // busy in here.
-        let results: Vec<Option<(S, u64)>> = pool.par_map_while(
-            program.num_procs(),
-            || !guard.should_stop(),
-            |pi| {
-                if pi % 64 == 0 {
-                    let _ = guard.check();
-                }
-                let p = ProcId::new(pi);
-                let mut set = S::empty(program.num_vars());
-                let mut steps = 0u64;
-                for &f in program.proc_(p).formals() {
-                    steps += 1;
-                    let in_rmod = match beta.node_of_formal(f) {
-                        Some(node) => rep_value[sccs.component_of(node)],
-                        None => initial[pi].contains(f.index()),
-                    };
-                    if in_rmod {
-                        set.insert(f.index());
-                    }
-                }
-                (set, steps)
-            },
-        );
-        rmod = Vec::with_capacity(program.num_procs());
-        for slot in results {
-            let Some((set, steps)) = slot else {
-                guard.check()?;
-                return Err(guard.interrupt().unwrap_or(Interrupt::Halted));
-            };
-            stats.bool_steps += steps;
-            modified.union_with(&set);
-            rmod.push(set);
-        }
-        settle(guard, &stats, &mut last);
-        guard.check()?;
+        return Ok((rmod, modified));
     }
-
-    broadcast_span.arg("bool_steps", stats.bool_steps - before_broadcast);
-    drop(broadcast_span);
-
-    Ok(RmodSolutionIn {
-        rmod,
-        modified,
-        stats,
-    })
+    let results: Vec<Option<(S, u64)>> = pool.par_map_while(
+        program.num_procs(),
+        || !guard.should_stop(),
+        |pi| {
+            if pi % 64 == 0 {
+                let _ = guard.check();
+            }
+            let p = ProcId::new(pi);
+            let mut set = S::empty(nv);
+            let mut steps = 0u64;
+            for &f in program.proc_(p).formals() {
+                steps += 1;
+                let bit = match beta.node_of_formal(f) {
+                    Some(node) => in_rmod(node),
+                    None => initial[pi].contains(f.index()),
+                };
+                if bit {
+                    set.insert(f.index());
+                }
+            }
+            (set, steps)
+        },
+    );
+    let mut rmod = Vec::with_capacity(program.num_procs());
+    for slot in results {
+        let Some((set, steps)) = slot else {
+            guard.check()?;
+            return Err(guard.interrupt().unwrap_or(Interrupt::Halted));
+        };
+        stats.bool_steps += steps;
+        modified.union_with(&set);
+        rmod.push(set);
+    }
+    Ok((rmod, modified))
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fs;
+use std::io::{BufWriter, Write};
 use std::time::Duration;
 
 use modref_binding::BindingGraph;
@@ -36,7 +37,6 @@ pub fn run(cmd: &Command) -> Result<RunStatus, Box<dyn Error>> {
             no_alias,
             parallel,
             json,
-            gmod,
             threads,
             timeout_ms,
             budget_ops,
@@ -45,30 +45,40 @@ pub fn run(cmd: &Command) -> Result<RunStatus, Box<dyn Error>> {
             edits,
             query,
             set_repr,
-        } => analyze(
-            file,
-            *no_use,
-            *no_alias,
-            *parallel,
-            *json,
-            *gmod,
-            *threads,
-            *timeout_ms,
-            *budget_ops,
-            trace.as_deref(),
-            *metrics,
-            edits.as_deref(),
-            query.as_ref(),
-            *set_repr,
-        ),
-        Command::Summary { file } => summary(file).map(|()| RunStatus::Clean),
-        Command::Sections { file } => sections(file).map(|()| RunStatus::Clean),
-        Command::Parallel { file } => parallel(file).map(|()| RunStatus::Clean),
-        Command::Dot { file, what } => dot(file, *what).map(|()| RunStatus::Clean),
-        Command::Check { file } => check(file).map(|()| RunStatus::Clean),
-        Command::TraceCheck { file } => trace_check(file).map(|()| RunStatus::Clean),
+        } => to_stdout(|out| {
+            analyze(
+                out,
+                file,
+                *no_use,
+                *no_alias,
+                *parallel,
+                *json,
+                *threads,
+                *timeout_ms,
+                *budget_ops,
+                trace.as_deref(),
+                *metrics,
+                edits.as_deref(),
+                query.as_ref(),
+                *set_repr,
+            )
+        }),
+        Command::Summary { file } => to_stdout(|out| summary(out, file)).map(|()| RunStatus::Clean),
+        Command::Sections { file } => {
+            to_stdout(|out| sections(out, file)).map(|()| RunStatus::Clean)
+        }
+        Command::Parallel { file } => {
+            to_stdout(|out| parallel(out, file)).map(|()| RunStatus::Clean)
+        }
+        Command::Dot { file, what } => {
+            to_stdout(|out| dot(out, file, *what)).map(|()| RunStatus::Clean)
+        }
+        Command::Check { file } => to_stdout(|out| check(out, file)).map(|()| RunStatus::Clean),
+        Command::TraceCheck { file } => {
+            to_stdout(|out| trace_check(out, file)).map(|()| RunStatus::Clean)
+        }
         Command::Run { file, seed, fuel } => {
-            run_program(file, *seed, *fuel).map(|()| RunStatus::Clean)
+            to_stdout(|out| run_program(out, file, *seed, *fuel)).map(|()| RunStatus::Clean)
         }
         Command::Serve {
             addr,
@@ -101,6 +111,23 @@ pub fn run(cmd: &Command) -> Result<RunStatus, Box<dyn Error>> {
             retry_base_ms,
         } => client(addr, script, *retries, *retry_base_ms),
     }
+}
+
+/// Runs `report` against one locked, buffered stdout and flushes it, so a
+/// report is written in a few large writes and any write error — a
+/// reader that closed the pipe early, say — comes back as an error
+/// instead of a panic inside `print!`. Output written before an error is
+/// still flushed.
+fn to_stdout<T>(
+    report: impl FnOnce(&mut dyn Write) -> Result<T, Box<dyn Error>>,
+) -> Result<T, Box<dyn Error>> {
+    let stdout = std::io::stdout();
+    let mut out = BufWriter::new(stdout.lock());
+    let result = report(&mut out);
+    let flushed = out.flush();
+    let value = result?;
+    flushed?;
+    Ok(value)
 }
 
 /// Parses a `--addr` value with a pinned message (OS bind errors vary;
@@ -239,8 +266,14 @@ fn names(program: &Program, set: &BitSet) -> String {
 
 /// The per-site text report shared by plain and `--edits` analyses (and,
 /// via `modref-serve`, the analysis server) — one renderer, byte for byte.
-fn print_site_report(program: &Program, sets: &SiteSets, no_use: bool, no_alias: bool) {
-    print!("{}", render_text(program, sets, no_use, no_alias));
+fn print_site_report(
+    out: &mut dyn Write,
+    program: &Program,
+    sets: &SiteSets,
+    no_use: bool,
+    no_alias: bool,
+) -> std::io::Result<()> {
+    write!(out, "{}", render_text(program, sets, no_use, no_alias))
 }
 
 /// The whole-analysis guard the `analyze` paths run under: `--timeout-ms`
@@ -262,12 +295,12 @@ fn guard_from_flags(timeout_ms: Option<u64>, budget_ops: Option<u64>) -> Guard {
 
 #[allow(clippy::too_many_arguments)]
 fn analyze(
+    out: &mut dyn Write,
     file: &str,
     no_use: bool,
     no_alias: bool,
     parallel: bool,
     json: bool,
-    gmod: Option<modref_core::GmodAlgorithm>,
     threads: Option<usize>,
     timeout_ms: Option<u64>,
     budget_ops: Option<u64>,
@@ -287,7 +320,7 @@ fn analyze(
 
     if let Some(spec) = query {
         return analyze_query(
-            program, spec, edits, json, threads, timeout_ms, budget_ops, trace_out, metrics,
+            out, program, spec, edits, json, threads, timeout_ms, budget_ops, trace_out, metrics,
             &trace, set_repr,
         );
     }
@@ -295,6 +328,7 @@ fn analyze(
     if let Some(script_path) = edits {
         return if set_repr.use_hybrid(program.num_vars(), None) {
             analyze_edits_in::<modref_core::HybridSet>(
+                out,
                 file,
                 program,
                 script_path,
@@ -310,6 +344,7 @@ fn analyze(
             )
         } else {
             analyze_edits_in::<modref_core::BitSet>(
+                out,
                 file,
                 program,
                 script_path,
@@ -337,9 +372,6 @@ fn analyze(
     }
     if parallel {
         analyzer.parallel();
-    }
-    if let Some(alg) = gmod {
-        analyzer.gmod_algorithm(alg);
     }
     if let Some(t) = threads {
         analyzer.threads(t);
@@ -377,28 +409,31 @@ fn analyze(
     }
 
     if json {
-        print!(
+        write!(
+            out,
             "{}",
             render_json(&program, &SiteSets::from_summary(&program, &summary))
-        );
+        )?;
         return Ok(status);
     }
 
-    println!(
+    writeln!(
+        out,
         "{}: {} procedures, {} call sites, {} variables",
         file,
         program.num_procs(),
         program.num_sites(),
         program.num_vars()
-    );
+    )?;
     let (bn, be) = summary.beta_size();
-    println!("binding multi-graph: {bn} nodes, {be} edges\n");
+    writeln!(out, "binding multi-graph: {bn} nodes, {be} edges\n")?;
     print_site_report(
+        out,
         &program,
         &SiteSets::from_summary(&program, &summary),
         no_use,
         no_alias,
-    );
+    )?;
     Ok(status)
 }
 
@@ -411,6 +446,7 @@ fn analyze(
 /// every other analyze path.
 #[allow(clippy::too_many_arguments)]
 fn analyze_query(
+    out: &mut dyn Write,
     program: Program,
     spec: &QuerySpec,
     edits: Option<&str>,
@@ -504,7 +540,7 @@ fn analyze_query(
         );
         eprint!("{}", trace.export_summary());
     }
-    print!("{report}");
+    write!(out, "{report}")?;
     Ok(status)
 }
 
@@ -513,6 +549,7 @@ fn analyze_query(
 /// apply widens soundly and maps to exit code 3 like the batch path.
 #[allow(clippy::too_many_arguments)]
 fn analyze_edits_in<S: modref_core::EffectSet>(
+    out: &mut dyn Write,
     file: &str,
     program: Program,
     script_path: &str,
@@ -590,50 +627,57 @@ fn analyze_edits_in<S: modref_core::EffectSet>(
     let program = engine.program();
     let sets = SiteSets::from_engine(&engine);
     if json {
-        print!("{}", render_json(program, &sets));
+        write!(out, "{}", render_json(program, &sets))?;
         return Ok(status);
     }
-    println!(
+    writeln!(
+        out,
         "{}: {} procedures, {} call sites, {} variables",
         file,
         program.num_procs(),
         program.num_sites(),
         program.num_vars()
-    );
-    println!("after {} edits from {script_path}\n", script.steps().len());
-    print_site_report(program, &sets, no_use, no_alias);
+    )?;
+    writeln!(
+        out,
+        "after {} edits from {script_path}\n",
+        script.steps().len()
+    )?;
+    print_site_report(out, program, &sets, no_use, no_alias)?;
     Ok(status)
 }
 
-fn summary(file: &str) -> Result<(), Box<dyn Error>> {
+fn summary(out: &mut dyn Write, file: &str) -> Result<(), Box<dyn Error>> {
     let program = load(file)?;
     let summary = Analyzer::new().analyze(&program);
-    println!("per-procedure summaries for {file}:\n");
+    writeln!(out, "per-procedure summaries for {file}:\n")?;
     for p in program.procs() {
-        println!(
+        writeln!(
+            out,
             "proc {} (level {})",
             program.proc_name(p),
             program.proc_(p).level()
-        );
-        println!("  RMOD  = {}", names(&program, summary.rmod(p)));
-        println!("  IMOD+ = {}", names(&program, summary.imod_plus(p)));
-        println!("  GMOD  = {}", names(&program, summary.gmod(p)));
-        println!("  GUSE  = {}", names(&program, summary.guse(p)));
+        )?;
+        writeln!(out, "  RMOD  = {}", names(&program, summary.rmod(p)))?;
+        writeln!(out, "  IMOD+ = {}", names(&program, summary.imod_plus(p)))?;
+        writeln!(out, "  GMOD  = {}", names(&program, summary.gmod(p)))?;
+        writeln!(out, "  GUSE  = {}", names(&program, summary.guse(p)))?;
     }
     Ok(())
 }
 
-fn sections(file: &str) -> Result<(), Box<dyn Error>> {
+fn sections(out: &mut dyn Write, file: &str) -> Result<(), Box<dyn Error>> {
     let program = load(file)?;
     let sections = analyze_sections(&program);
-    println!("regular sections per call site for {file}:\n");
+    writeln!(out, "regular sections per call site for {file}:\n")?;
     for site in program.sites() {
         let info = program.site(site);
-        println!(
+        writeln!(
+            out,
             "site {site}: call {} (in {})",
             program.proc_name(info.callee()),
             program.proc_name(info.caller())
-        );
+        )?;
         let mut any = false;
         let mut entries: Vec<(VarId, String, String)> = Vec::new();
         for (a, sec) in sections.mod_sections_at_site(site) {
@@ -647,43 +691,43 @@ fn sections(file: &str) -> Result<(), Box<dyn Error>> {
         entries.sort_by_key(|(a, kind, _)| (a.index(), kind.clone()));
         for (a, kind, text) in entries {
             any = true;
-            println!("  {kind} {}{text}", program.var_name(a));
+            writeln!(out, "  {kind} {}{text}", program.var_name(a))?;
         }
         if !any {
-            println!("  (no array accesses)");
+            writeln!(out, "  (no array accesses)")?;
         }
     }
     Ok(())
 }
 
-fn parallel(file: &str) -> Result<(), Box<dyn Error>> {
+fn parallel(out: &mut dyn Write, file: &str) -> Result<(), Box<dyn Error>> {
     let program = load(file)?;
     let summary = Analyzer::new().analyze(&program);
     let section_summary = analyze_sections(&program);
     let reports = modref_sections::parallel_report(&program, &summary, &section_summary);
     if reports.is_empty() {
-        println!("{file}: no loops found");
+        writeln!(out, "{file}: no loops found")?;
         return Ok(());
     }
-    println!("loop parallelisation report for {file}:\n");
+    writeln!(out, "loop parallelisation report for {file}:\n")?;
     for r in &reports {
         let head = format!("loop #{} in {}", r.loop_index, program.proc_name(r.proc_));
         if r.parallelizable() {
             let i = r
                 .induction
                 .expect("parallel loops have an induction variable");
-            println!("  {head}: PARALLELIZABLE over {}", program.var_name(i));
+            writeln!(out, "  {head}: PARALLELIZABLE over {}", program.var_name(i))?;
         } else {
-            println!("  {head}: serial");
+            writeln!(out, "  {head}: serial")?;
             for b in &r.blockers {
-                println!("    - {}", b.describe(&program));
+                writeln!(out, "    - {}", b.describe(&program))?;
             }
         }
     }
     Ok(())
 }
 
-fn dot(file: &str, what: DotWhat) -> Result<(), Box<dyn Error>> {
+fn dot(out: &mut dyn Write, file: &str, what: DotWhat) -> Result<(), Box<dyn Error>> {
     let program = load(file)?;
     let text = match what {
         DotWhat::CallGraph => {
@@ -713,17 +757,22 @@ fn dot(file: &str, what: DotWhat) -> Result<(), Box<dyn Error>> {
             )
         }
     };
-    print!("{text}");
+    write!(out, "{text}")?;
     Ok(())
 }
 
-fn run_program(file: &str, seed: u64, fuel: u64) -> Result<(), Box<dyn Error>> {
+fn run_program(
+    out: &mut dyn Write,
+    file: &str,
+    seed: u64,
+    fuel: u64,
+) -> Result<(), Box<dyn Error>> {
     let program = load(file)?;
     let result = modref_interp::Interpreter::new(&program, seed)
         .with_fuel(fuel)
         .run();
     for v in &result.printed {
-        println!("{v}");
+        writeln!(out, "{v}")?;
     }
     if result.truncated {
         eprintln!("(run truncated by the fuel/depth limit)");
@@ -731,17 +780,17 @@ fn run_program(file: &str, seed: u64, fuel: u64) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn check(file: &str) -> Result<(), Box<dyn Error>> {
+fn check(out: &mut dyn Write, file: &str) -> Result<(), Box<dyn Error>> {
     let program = load(file)?;
     let stats = modref_ir::ProgramStats::measure(&program);
-    println!("{file}: ok");
-    println!("{stats}");
+    writeln!(out, "{file}: ok")?;
+    writeln!(out, "{stats}")?;
     Ok(())
 }
 
 /// Validates a `--trace` output file: well-formed JSON, a `traceEvents`
 /// array, and the mandatory `name`/`ph`/`ts` keys on every event.
-fn trace_check(file: &str) -> Result<(), Box<dyn Error>> {
+fn trace_check(out: &mut dyn Write, file: &str) -> Result<(), Box<dyn Error>> {
     let text = fs::read_to_string(file).map_err(|e| format!("cannot read `{file}`: {e}"))?;
     let root = parse_json(&text).map_err(|e| format!("`{file}` is not valid JSON: {e}"))?;
     let events = root
@@ -776,12 +825,13 @@ fn trace_check(file: &str) -> Result<(), Box<dyn Error>> {
     }
     span_names.sort_unstable();
     span_names.dedup();
-    println!(
+    writeln!(
+        out,
         "{file}: valid trace, {} events ({spans} spans, {instants} instants, {counters} counters)",
         events.len()
-    );
+    )?;
     if !span_names.is_empty() {
-        println!("spans: {}", span_names.join(", "));
+        writeln!(out, "spans: {}", span_names.join(", "))?;
     }
     Ok(())
 }

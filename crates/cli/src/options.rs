@@ -1,12 +1,12 @@
 //! Hand-rolled argument parsing for the `modref` CLI.
 
-use modref_core::{GmodAlgorithm, SetRepr};
+use modref_core::SetRepr;
 
 /// Usage text printed on argument errors.
 pub const USAGE: &str = "\
 usage:
   modref analyze  <file.mp> [--no-use] [--no-alias] [--parallel] [--json]
-                            [--gmod one|fused|levels] [--threads N]
+                            [--threads N]
                             [--set-repr dense|hybrid|auto]
                             [--timeout-ms N] [--budget-ops N]
                             [--trace <out.json>] [--metrics]
@@ -91,8 +91,6 @@ pub enum Command {
         parallel: bool,
         /// Emit machine-readable JSON instead of the text report.
         json: bool,
-        /// GMOD algorithm override.
-        gmod: Option<GmodAlgorithm>,
         /// Worker-thread count for the pooled phases (0 = one per core).
         threads: Option<usize>,
         /// Wall-clock deadline for the whole analysis, in milliseconds.
@@ -206,7 +204,6 @@ impl Command {
                 let mut no_alias = false;
                 let mut parallel = false;
                 let mut json = false;
-                let mut gmod = None;
                 let mut threads = None;
                 let mut timeout_ms = None;
                 let mut budget_ops = None;
@@ -221,15 +218,6 @@ impl Command {
                         "--no-alias" => no_alias = true,
                         "--parallel" => parallel = true,
                         "--json" => json = true,
-                        "--gmod" => {
-                            let v = it.next().ok_or("--gmod needs a value")?;
-                            gmod = Some(match v.as_str() {
-                                "one" => GmodAlgorithm::OneLevel,
-                                "fused" => GmodAlgorithm::MultiLevelFused,
-                                "levels" => GmodAlgorithm::LevelScheduled,
-                                other => return Err(format!("unknown --gmod value `{other}`")),
-                            });
-                        }
                         "--threads" => {
                             let v = it.next().ok_or("--threads needs a value")?;
                             let n: usize = v.parse().map_err(|_| format!("bad --threads `{v}`"))?;
@@ -279,7 +267,6 @@ impl Command {
                     no_alias,
                     parallel,
                     json,
-                    gmod,
                     threads,
                     timeout_ms,
                     budget_ops,
@@ -538,7 +525,7 @@ mod tests {
 
     #[test]
     fn analyze_with_flags() {
-        let cmd = parse(&["analyze", "x.mp", "--no-use", "--gmod", "fused"]).expect("parses");
+        let cmd = parse(&["analyze", "x.mp", "--no-use", "--json"]).expect("parses");
         assert_eq!(
             cmd,
             Command::Analyze {
@@ -546,8 +533,7 @@ mod tests {
                 no_use: true,
                 no_alias: false,
                 parallel: false,
-                json: false,
-                gmod: Some(GmodAlgorithm::MultiLevelFused),
+                json: true,
                 threads: None,
                 timeout_ms: None,
                 budget_ops: None,
@@ -562,8 +548,8 @@ mod tests {
 
     #[test]
     fn analyze_threads_and_levels() {
-        let cmd =
-            parse(&["analyze", "x.mp", "--threads", "4", "--gmod", "levels"]).expect("parses");
+        // More than one thread is also what selects level-scheduled GMOD.
+        let cmd = parse(&["analyze", "x.mp", "--threads", "4"]).expect("parses");
         assert_eq!(
             cmd,
             Command::Analyze {
@@ -572,7 +558,6 @@ mod tests {
                 no_alias: false,
                 parallel: false,
                 json: false,
-                gmod: Some(GmodAlgorithm::LevelScheduled),
                 threads: Some(4),
                 timeout_ms: None,
                 budget_ops: None,
@@ -636,7 +621,6 @@ mod tests {
                 no_alias: false,
                 parallel: false,
                 json: false,
-                gmod: None,
                 threads: None,
                 timeout_ms: Some(250),
                 budget_ops: Some(9000),
@@ -760,9 +744,9 @@ mod tests {
         assert!(parse(&["analyze", "a", "b"])
             .unwrap_err()
             .contains("extra argument"));
-        assert!(parse(&["analyze", "--gmod", "bogus", "x"])
+        assert!(parse(&["analyze", "x", "--gmod", "fused"])
             .unwrap_err()
-            .contains("unknown --gmod"));
+            .contains("unknown flag `--gmod`"));
     }
 
     #[test]

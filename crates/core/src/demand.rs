@@ -8,8 +8,10 @@
 //! resolution with memoized partial fixpoints.
 //!
 //! * **Local effects** (`IMOD`/`IUSE` with the §3.3 nesting extension) are
-//!   materialised per procedure on first touch — one walk over that
-//!   procedure's own body plus its nesting subtree.
+//!   materialised per procedure on first touch — the batch statement walk
+//!   ([`modref_ir::flat_effects_of`]) over that procedure's own body and
+//!   the batch fold step ([`modref_ir::absorb_children`]) over its nesting
+//!   subtree.
 //! * **`RMOD` bits** resolve by early-exit depth-first search over β: a
 //!   formal's bit is set iff its β node reaches any node whose formal is
 //!   in its owner's extended `IMOD`. A successful search memoizes
@@ -19,9 +21,10 @@
 //!   explored regions.
 //! * **`GMOD` rows** resolve by a Tarjan walk *from the queried node* over
 //!   the (per-problem, level-filtered) call multi-graph. Already-memoized
-//!   rows act as finalised external inputs and are not re-entered; each
-//!   discovered component is closed by the kernel
-//!   [`crate::gmod_levels::solve_component`] also uses the moment it pops —
+//!   rows act as finalised external inputs and are not re-entered; the
+//!   moment a component pops, its inputs are materialised and it is
+//!   solved by the level-scheduled solver's own kernel
+//!   ([`crate::gmod_levels::solve_component`]) over the memo's rows —
 //!   early cutoff, successors-first. Because every component's least
 //!   fixpoint is unique, the demanded rows are **bit-identical** to the
 //!   exhaustive solvers' rows.
@@ -56,11 +59,11 @@ use modref_binding::BindingGraph;
 use modref_bitset::{BitSet, EffectSet, OpCounter};
 use modref_graph::DiGraph;
 use modref_guard::{Guard, Interrupt};
-use modref_ir::{flat_effects_of, CallGraph, CallSiteId, ProcId, Program, VarId};
+use modref_ir::{absorb_children, flat_effects_of, CallGraph, CallSiteId, ProcId, Program, VarId};
 
 use crate::alias::AliasPairs;
 use crate::dmod::project_site;
-use crate::gmod_levels::close_component;
+use crate::gmod_levels::solve_component;
 use crate::imod_plus::fold_site;
 
 /// Which of the two analogous problems (§1) a demand walks.
@@ -387,6 +390,14 @@ fn settle(guard: &Guard, ops: &OpCounter, charged: &mut OpCounter) -> Result<(),
     guard.check()
 }
 
+/// Does problem `prob` keep the edge into callee `q`? Problem 0 is the
+/// whole multi-graph (`dp ≤ 1`); nested problem `i ≥ 1` keeps edges into
+/// procedures at level ≥ i — the same filter `solve_gmod_levels_traced`
+/// applies.
+fn edge_kept(program: &Program, prob: usize, q: usize) -> bool {
+    prob == 0 || program.proc_(ProcId::new(q)).level() as usize >= prob
+}
+
 /// One query's working state: the program snapshot, the shared memo, the
 /// guard, and the operation ledger (charged incrementally via `settle`).
 struct Demand<'a, S: EffectSet> {
@@ -448,37 +459,45 @@ impl<'a, S: EffectSet> Demand<'a, S> {
     }
 
     /// §3.3-extended `IMOD(p)`/`IUSE(p)`: the flat set of `p`'s own body
-    /// joined with each child's extended set minus the child's locals —
-    /// the same bottom-up tree fold as `LocalEffects::compute`, restricted
-    /// to `p`'s nesting subtree.
+    /// folded with each child's extended set minus the child's locals —
+    /// the same statement walk and per-node fold as
+    /// `LocalEffects::compute`, restricted to `p`'s nesting subtree.
     fn ensure_ext(&mut self, side: Side, p: usize) -> Result<(), Interrupt> {
         if self.memo.ext[side.idx()][p].is_some() {
             return Ok(());
         }
         self.guard.checkpoint("query.local")?;
         let program = self.program;
+        let proc_ = ProcId::new(p);
         if self.memo.flat[p].is_none() {
             self.ops.nodes_visited += 1;
-            let (fm, fu) = flat_effects_of(program, ProcId::new(p));
-            self.memo.flat[p] = Some((S::from_dense_owned(fm), S::from_dense_owned(fu)));
+            self.memo.flat[p] = Some(flat_effects_of(program, proc_));
         }
-        let flat = self.memo.flat[p].as_ref().expect("just filled");
+        // One step for the copy of the flat set and one per child folded
+        // in, counted as each child is reached.
+        self.ops.bitvec_steps += 1;
+        for &q in program.proc_(proc_).children() {
+            self.ensure_ext(side, q.index())?;
+            self.ensure_local(q.index());
+            self.ops.bitvec_steps += 1;
+        }
+        let memo = &*self.memo;
+        let flat = memo.flat[p].as_ref().expect("just filled");
         let mut set = match side {
             Side::Mod => flat.0.clone(),
             Side::Use => flat.1.clone(),
         };
-        self.ops.bitvec_steps += 1;
-        let children = program.proc_(ProcId::new(p)).children().to_vec();
-        for q in children {
-            self.ensure_ext(side, q.index())?;
-            self.ensure_local(q.index());
-            let child = self.memo.ext[side.idx()][q.index()]
-                .as_ref()
-                .expect("just ensured");
-            let local_q = self.memo.locals[q.index()].as_ref().expect("just ensured");
-            set.union_with_difference(child, local_q);
-            self.ops.bitvec_steps += 1;
-        }
+        absorb_children(
+            program,
+            proc_,
+            &mut set,
+            |q| {
+                memo.ext[side.idx()][q.index()]
+                    .as_ref()
+                    .expect("just ensured")
+            },
+            |q| memo.locals[q.index()].as_ref().expect("just ensured"),
+        );
         self.settle()?;
         self.memo.ext[side.idx()][p] = Some(set);
         Ok(())
@@ -605,14 +624,6 @@ impl<'a, S: EffectSet> Demand<'a, S> {
         Ok(())
     }
 
-    /// Does problem `prob` keep the edge into callee `q`? Problem 0 is the
-    /// whole multi-graph (`dp ≤ 1`); nested problem `i ≥ 1` keeps edges
-    /// into procedures at level ≥ i — the same filter
-    /// `solve_gmod_levels_traced` applies.
-    fn edge_kept(&self, prob: usize, q: usize) -> bool {
-        prob == 0 || self.program.proc_(ProcId::new(q)).level() as usize >= prob
-    }
-
     /// The problem-`prob` `GMOD` row of `start`, demanded via a Tarjan
     /// walk that treats memoized rows as finalised external inputs.
     /// Components pop successors-first, so each is solved as a closed
@@ -651,7 +662,7 @@ impl<'a, S: EffectSet> Demand<'a, S> {
             let succs = graph.successors_slice(v);
             if ei < succs.len() {
                 let (w, _) = succs[ei];
-                if !self.edge_kept(prob, w) {
+                if !edge_kept(self.program, prob, w) {
                     continue;
                 }
                 self.ops.edges_visited += 1;
@@ -702,90 +713,43 @@ impl<'a, S: EffectSet> Demand<'a, S> {
         Ok(())
     }
 
-    /// One component's closed fixpoint, gathered like
-    /// `gmod_levels::solve_component` but from memoized rows instead of a
-    /// dense `g_final` slice: `base(u) = IMOD⁺(u) ∪ ⋃ (row(q) ∖ LOCAL(q))`
-    /// over external edges, then the shared `close_component` kernel.
+    /// One component's closed fixpoint: materialise every input the
+    /// kernel reads — the members' `IMOD⁺` rows and the `LOCAL` row of
+    /// every node a kept edge enters — then run
+    /// [`crate::gmod_levels::solve_component`] over the memo's rows.
     fn solve_scc(&mut self, side: Side, prob: usize, members: &[usize]) -> Result<(), Interrupt> {
         let cg = self.call_graph();
-        self.ops.nodes_visited += members.len() as u64;
-        let mut pos: HashMap<usize, usize> = HashMap::new();
-        for (k, &u) in members.iter().enumerate() {
-            pos.insert(u, k);
-        }
-        // Classify edges and materialise every input this component reads.
-        // (kf, kt, q): internal edge from member kf to member kt = proc q.
-        let mut internal: Vec<(usize, usize, usize)> = Vec::new();
-        // (k, q): external edge from member k to finalised proc q.
-        let mut external: Vec<(usize, usize)> = Vec::new();
-        for (k, &u) in members.iter().enumerate() {
+        let program = self.program;
+        let kept = move |q: usize| edge_kept(program, prob, q);
+        for &u in members {
             self.ensure_plus(side, u)?;
             self.ensure_local(u);
             for &(q, _) in cg.graph().successors_slice(u) {
-                if !self.edge_kept(prob, q) {
-                    continue;
-                }
-                self.ops.edges_visited += 1;
-                if let Some(&kq) = pos.get(&q) {
-                    if q != u {
-                        // Self-edges are no-ops under the hop filter.
-                        internal.push((k, kq, q));
-                    }
-                } else {
+                if kept(q) {
                     self.ensure_local(q);
-                    external.push((k, q));
                 }
             }
         }
-
+        let pos: HashMap<usize, usize> = members.iter().enumerate().map(|(k, &u)| (u, k)).collect();
         let memo = &*self.memo;
-        let mut bases: Vec<S> = members
-            .iter()
-            .map(|&u| memo.plus[side.idx()][u].clone().expect("just ensured"))
-            .collect();
-        self.ops.bitvec_steps += members.len() as u64;
-        for &(k, q) in &external {
-            let row = memo.rows[side.idx()][prob][q]
-                .as_ref()
-                .expect("successors-first: external row finalised");
-            let local_q = memo.locals[q].as_ref().expect("just ensured");
-            bases[k].union_with_difference(row, local_q);
-            self.ops.bitvec_steps += 1;
-        }
-
-        if let [u] = members {
-            self.settle()?;
-            self.memo.rows[side.idx()][prob][*u] = Some(bases.pop().expect("one base"));
-            return Ok(());
-        }
-
-        // The component's transfer set and member-locals union, then the
-        // shared closure (collapse test, else iteration to the fixpoint).
-        let memo = &*self.memo;
-        let mut transfer = S::empty(memo.num_vars);
-        let mut member_locals = S::empty(memo.num_vars);
-        for &u in members {
-            member_locals.union_with(memo.locals[u].as_ref().expect("just ensured"));
-            transfer.union_with_difference(
-                memo.plus[side.idx()][u].as_ref().expect("just ensured"),
-                memo.locals[u].as_ref().expect("just ensured"),
-            );
-            self.ops.bitvec_steps += 2;
-        }
-        for &(_, q) in &external {
-            transfer.union_with_difference(
-                memo.rows[side.idx()][prob][q].as_ref().expect("finalised"),
-                memo.locals[q].as_ref().expect("just ensured"),
-            );
-            self.ops.bitvec_steps += 1;
-        }
         let (guard, charged) = (self.guard, &mut self.charged);
-        let rows = close_component(
-            bases,
-            &transfer,
-            &member_locals,
-            &internal,
+        let rows = solve_component(
+            members,
+            |u| {
+                cg.graph()
+                    .successors_slice(u)
+                    .iter()
+                    .map(|&(q, _)| q)
+                    .filter(move |&q| kept(q))
+            },
+            |q| pos.get(&q).copied(),
+            |u| memo.plus[side.idx()][u].as_ref().expect("just ensured"),
             |q| memo.locals[q].as_ref().expect("just ensured"),
+            |q| {
+                memo.rows[side.idx()][prob][q]
+                    .as_ref()
+                    .expect("successors-first: external row finalised")
+            },
             &mut self.ops,
             |ops| {
                 settle(guard, ops, charged)?;

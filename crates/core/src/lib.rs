@@ -79,8 +79,7 @@ pub use gmod_nested::{
 pub use imod_plus::{compute_imod_plus, compute_imod_plus_guarded};
 pub use modsets::{ModSolution, ModSolutionIn};
 pub use pipeline::{
-    AnalysisOutcome, Analyzer, DegradeReason, GmodAlgorithm, Phase, PhaseMask, PhaseStats,
-    PhaseWall, Summary,
+    AnalysisOutcome, Analyzer, DegradeReason, Phase, PhaseMask, PhaseStats, PhaseWall, Summary,
 };
 
 /// The set-representation layer ([`Analyzer::set_repr`]), re-exported so

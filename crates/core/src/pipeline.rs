@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use modref_binding::{solve_rmod_traced, BindingGraph, RmodSolutionIn};
 use modref_bitset::{BitSet, EffectSet, HybridSet, OpCounter, SetRepr};
-use modref_guard::{Guard, Interrupt};
+use modref_guard::{panic_message, Guard, Interrupt};
 use modref_ir::{CallGraph, CallSiteId, LocalEffects, LocalEffectsIn, ProcId, Program};
 use modref_par::ThreadPool;
 use modref_trace::Trace;
@@ -60,21 +60,14 @@ fn sets_to_dense<S: EffectSet>(sets: Vec<S>) -> Vec<BitSet> {
     sets.into_iter().map(S::into_dense).collect()
 }
 
-/// Which algorithm computes the global (`GMOD`) phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GmodAlgorithm {
-    /// One-level Figure 2 when the program has two-level scoping; the
-    /// fused multi-level algorithm otherwise.
-    #[default]
-    Auto,
-    /// Figure 2 verbatim. Exact only for programs with `max_level() ≤ 1`.
+/// The `GMOD` algorithm a half runs, picked from the pool and the
+/// program: level-scheduled propagation is the only one that uses the
+/// pool within a half; sequentially, Figure 2 is exact for two-level
+/// scoping and the fused multi-level algorithm otherwise.
+#[derive(Debug, Clone, Copy)]
+enum GmodAlgorithm {
     OneLevel,
-    /// The single-pass lowlink-vector algorithm, `O(E_C + d_P·N_C)`.
     MultiLevelFused,
-    /// Level-scheduled propagation over the condensation
-    /// ([`crate::gmod_levels`]); exact at any nesting depth and the only
-    /// algorithm that uses the thread pool *within* a half. `Auto` picks
-    /// it whenever more than one thread is configured.
     LevelScheduled,
 }
 
@@ -256,16 +249,6 @@ struct Failure {
     panic: Option<String>,
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Runs one phase attempt under `catch_unwind`; on an interrupt or a
 /// contained panic, records the failure and computes the fallback (timed
 /// into `fallback_wall`). The fallback path never consults the guard, so
@@ -297,7 +280,6 @@ fn run_phase<T>(
 /// and factors aliases in. See the crate-level example.
 #[derive(Debug, Clone, Default)]
 pub struct Analyzer {
-    gmod_algorithm: GmodAlgorithm,
     set_repr: SetRepr,
     skip_use: bool,
     skip_aliases: bool,
@@ -311,12 +293,6 @@ impl Analyzer {
     /// phases enabled.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Selects the global-phase algorithm.
-    pub fn gmod_algorithm(&mut self, algorithm: GmodAlgorithm) -> &mut Self {
-        self.gmod_algorithm = algorithm;
-        self
     }
 
     /// Selects the internal set representation the solvers run on (see
@@ -461,13 +437,18 @@ impl Analyzer {
         // themselves would need.
         let t = Instant::now();
         let local_span = self.trace.span("local");
+        let locals: Vec<S> = program
+            .local_sets()
+            .into_iter()
+            .map(S::from_dense_owned)
+            .collect();
         let effects = run_phase(
             Phase::Local,
             &mut failures,
             &mut stats.wall.fallback,
             || {
                 guard.checkpoint("local")?;
-                Ok(LocalEffectsIn::<S>::compute_pooled(program, &pool))
+                Ok(LocalEffectsIn::<S>::compute_pooled(program, &locals, &pool))
             },
             || LocalEffectsIn::<S>::conservative(program),
         );
@@ -475,11 +456,6 @@ impl Analyzer {
         stats.wall.local += t.elapsed();
         let call_graph = CallGraph::build(program);
         let beta = BindingGraph::build(program);
-        let locals: Vec<S> = program
-            .local_sets()
-            .into_iter()
-            .map(S::from_dense_owned)
-            .collect();
 
         // Phases 1-3 for MOD, optionally for USE. Each half reads only
         // immutable inputs, so with `parallel()` (or a multi-thread pool)
@@ -777,17 +753,12 @@ impl Analyzer {
         stats.imod_plus += plus_stats;
         stats.wall.imod_plus += t.elapsed();
 
-        let algorithm = match self.gmod_algorithm {
-            GmodAlgorithm::Auto => {
-                if pool.threads() > 1 {
-                    GmodAlgorithm::LevelScheduled
-                } else if program.max_level() <= 1 {
-                    GmodAlgorithm::OneLevel
-                } else {
-                    GmodAlgorithm::MultiLevelFused
-                }
-            }
-            other => other,
+        let algorithm = if pool.threads() > 1 {
+            GmodAlgorithm::LevelScheduled
+        } else if program.max_level() <= 1 {
+            GmodAlgorithm::OneLevel
+        } else {
+            GmodAlgorithm::MultiLevelFused
         };
         let t = Instant::now();
         let mut gmod_span = self.trace.span(gmod_phase.name());
@@ -795,7 +766,7 @@ impl Analyzer {
             "algorithm",
             match algorithm {
                 GmodAlgorithm::OneLevel => "one_level",
-                GmodAlgorithm::MultiLevelFused | GmodAlgorithm::Auto => "multi_fused",
+                GmodAlgorithm::MultiLevelFused => "multi_fused",
                 GmodAlgorithm::LevelScheduled => "level_scheduled",
             },
         );
@@ -807,15 +778,13 @@ impl Analyzer {
                 GmodAlgorithm::OneLevel => {
                     solve_gmod_one_level_guarded(program, call_graph.graph(), &plus, locals, guard)
                 }
-                GmodAlgorithm::MultiLevelFused | GmodAlgorithm::Auto => {
-                    solve_gmod_multi_fused_guarded(
-                        program,
-                        call_graph.graph(),
-                        &plus,
-                        locals,
-                        guard,
-                    )
-                }
+                GmodAlgorithm::MultiLevelFused => solve_gmod_multi_fused_guarded(
+                    program,
+                    call_graph.graph(),
+                    &plus,
+                    locals,
+                    guard,
+                ),
                 GmodAlgorithm::LevelScheduled => solve_gmod_levels_traced(
                     program,
                     call_graph.graph(),
@@ -1149,9 +1118,8 @@ mod tests {
         b.call(main, p, &[]);
         let program = b.finish().expect("valid");
 
-        let fused = Analyzer::new()
-            .gmod_algorithm(GmodAlgorithm::MultiLevelFused)
-            .analyze(&program);
+        // One thread on a nested program runs the fused algorithm.
+        let fused = Analyzer::new().threads(1).analyze(&program);
         let cg = CallGraph::build(&program);
         let locals = program.local_sets();
         let plus = |side: fn(&Summary, ProcId) -> &BitSet| -> Vec<BitSet> {

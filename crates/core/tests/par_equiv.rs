@@ -10,8 +10,9 @@
 
 use modref_check::prelude::*;
 use modref_check::runner::CaseResult;
-use modref_core::Analyzer;
-use modref_ir::Program;
+use modref_core::{solve_gmod_levels, Analyzer, BitSet, Summary};
+use modref_ir::{CallGraph, ProcId, Program};
+use modref_par::ThreadPool;
 use modref_progen::{generate, GenConfig};
 
 /// Checks bit-identity of everything the two summaries expose; returns
@@ -93,13 +94,29 @@ property! {
         // thread.
         let program = generate(&GenConfig::pascal_like(n, depth), seed);
         let default = Analyzer::new().threads(1).analyze(&program);
-        let levels = Analyzer::new()
-            .threads(1)
-            .gmod_algorithm(modref_core::GmodAlgorithm::LevelScheduled)
-            .analyze(&program);
+        let call_graph = CallGraph::build(&program);
+        let locals = program.local_sets();
+        let pool = ThreadPool::new(1);
+        let seeds = |side: fn(&Summary, ProcId) -> &BitSet| -> Vec<BitSet> {
+            program.procs().map(|p| side(&default, p).clone()).collect()
+        };
+        let gmod = solve_gmod_levels(
+            &program,
+            call_graph.graph(),
+            &seeds(Summary::imod_plus),
+            &locals,
+            &pool,
+        );
+        let guse = solve_gmod_levels(
+            &program,
+            call_graph.graph(),
+            &seeds(Summary::iuse_plus),
+            &locals,
+            &pool,
+        );
         for p in program.procs() {
-            prop_assert_eq!(default.gmod(p), levels.gmod(p), "GMOD({}) differs", p);
-            prop_assert_eq!(default.guse(p), levels.guse(p), "GUSE({}) differs", p);
+            prop_assert_eq!(default.gmod(p), gmod.gmod(p), "GMOD({}) differs", p);
+            prop_assert_eq!(default.guse(p), guse.gmod(p), "GUSE({}) differs", p);
         }
     }
 }

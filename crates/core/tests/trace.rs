@@ -167,9 +167,9 @@ fn full_run_records_every_executed_phase() {
 fn level_scheduled_run_records_per_level_spans() {
     let program = generate(&GenConfig::pascal_like(24, 3), 7);
     let trace = Trace::enabled();
+    // More than one thread runs the level-scheduled algorithm.
     Analyzer::new()
         .threads(4)
-        .gmod_algorithm(modref_core::GmodAlgorithm::LevelScheduled)
         .with_trace(trace.clone())
         .analyze(&program);
     let names = span_names(&trace);

@@ -398,6 +398,19 @@ impl Guard {
     }
 }
 
+/// The message a caught panic carries: the `&str` or `String` payload of
+/// a `panic!`, or a fixed note for any other payload. Every layer that
+/// contains a panic with `catch_unwind` reports it through this.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// Amortises guard polls over tight loops: calls [`Guard::check`] once per
 /// `stride` ticks. A stride in the hundreds keeps the overhead invisible
 /// while bounding how much work can run past a trip.

@@ -24,8 +24,17 @@
 //!   the patch dirt seeds the same sparse sweeps. The `ALIAS` relation
 //!   is carried across the edit by insertion and delete-and-rederive
 //!   ([`AliasPairs::update_guarded`]), not solved again.
-//! * **full** — no cache, or the variable universe changed. Everything
-//!   is rebuilt with the batch kernels.
+//! * **full** — no cache, or the variable universe changed. The graphs
+//!   and condensations are built fresh and every component is seeded
+//!   into the same sparse sweeps, which then visit all of them.
+//!
+//! Whatever the path, each per-node step is the batch solver's own: the
+//! statement walk [`flat_effects_of`] and the §3.3 fold
+//! [`extend_nesting`] from `modref-ir`, Figure 1's seed and broadcast
+//! ([`rmod_seed`], [`rmod_broadcast`]) from `modref-binding`, equation
+//! (5) from [`compute_imod_plus_guarded`], and equation (4)'s component
+//! closure [`solve_component`]. The engine itself owns only what is
+//! incremental: the caches, the dirty frontiers and the early cutoff.
 //!
 //! # Why reuse is sound
 //!
@@ -46,8 +55,8 @@
 //! Under those three conditions the component solves the *same* closed
 //! subproblem as the cached run did, and a least fixed point is unique —
 //! so the cached rows equal what [`solve_component`] would recompute,
-//! bit for bit. Recomputed components use the *same kernel* the
-//! from-scratch solver uses, so no second implementation has to agree
+//! bit for bit. Recomputed components run the *same steps* the
+//! from-scratch solvers run, so no second implementation has to agree
 //! with the first. Caches are keyed **per node** (per β node, per
 //! procedure), not per component, so they survive the component
 //! renumbering a merge, split, or window reorder performs. See
@@ -65,13 +74,14 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use modref_binding::BindingGraph;
+use modref_binding::{rmod_broadcast, rmod_seed, BindingGraph};
 use modref_bitset::{BitSet, EffectSet, OpCounter};
 use modref_core::{compute_imod_plus_guarded, solve_component, Analyzer};
-use modref_graph::{DiGraph, DynCondensation, SccId, SparseSweep};
-use modref_guard::{Guard, Interrupt};
+use modref_graph::{DiGraph, DynCondensation, SparseSweep};
+use modref_guard::{panic_message, Guard, Interrupt, Strided};
 use modref_ir::{
-    walk_stmts, CallGraph, CallSiteId, Edit, EditDelta, EditError, ProcId, Program, VarId,
+    extend_nesting, flat_effects_of, CallGraph, CallSiteId, Edit, EditDelta, EditError, ProcId,
+    Program, VarId,
 };
 use modref_par::ThreadPool;
 use modref_trace::Trace;
@@ -299,16 +309,6 @@ impl IncrementalExt for Analyzer {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// The engine. See the module docs; `tests/` hold the differential and
 /// fault suites.
 ///
@@ -495,18 +495,9 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
     where
         I: IntoIterator<Item = &'a str>,
     {
-        let mut applied = 0u64;
-        for (index, line) in history.into_iter().enumerate() {
-            let fail = |message: String| ReplayError { index, message };
-            let script = Script::parse(line).map_err(|e| fail(e.message))?;
-            for step in script.steps() {
-                let edit = step.resolve(&self.program).map_err(|e| fail(e.message))?;
-                self.apply_guarded(&edit, &Guard::unlimited())
-                    .map_err(|e| fail(e.to_string()))?;
-                applied += 1;
-            }
-        }
-        Ok(applied)
+        replay_lines(self, history, Self::program, |engine, edit| {
+            engine.apply_guarded(edit, &Guard::unlimited())
+        })
     }
 
     /// Conservative results for the current program: every set is widened
@@ -682,7 +673,7 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
             stats.procs_flat_recomputed += 1;
         }
         guard.charge(0, np as u64);
-        let (imod, iuse) = extend_flat(program, &flat_mod, &flat_use, &local_sets);
+        let (imod, iuse) = extend_nesting(program, &flat_mod, &flat_use, &local_sets);
 
         // ---- Phase: RMOD/RUSE over the binding condensation ----
         drop(phase_span);
@@ -718,7 +709,7 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
         };
         let mut rmod_reused = 0usize;
         let mut rmod_recomputed = 0usize;
-        let (new_seed_mod, rmod) = rmod_sweep_side(
+        let (new_seed_mod, rmod) = rmod_sweep(
             program,
             &bc.beta,
             &bc.dc,
@@ -731,7 +722,7 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
             guard,
         )?;
         bc.seed_mod = new_seed_mod;
-        let (new_seed_use, ruse) = rmod_sweep_side(
+        let (new_seed_use, ruse) = rmod_sweep(
             program,
             &bc.beta,
             &bc.dc,
@@ -831,7 +822,6 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
                 &plus_mod,
                 &local_sets,
                 dirty_mod,
-                nv,
                 &pool,
                 guard,
                 &mut gmod_reused,
@@ -850,7 +840,6 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
                 &plus_use,
                 &local_sets,
                 dirty_use,
-                nv,
                 &pool,
                 guard,
                 &mut gmod_reused,
@@ -1113,6 +1102,29 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
     }
 }
 
+/// The parse → resolve → apply loop behind both `replay_history`s: each
+/// history line is parsed as an edit script, each step resolved against
+/// `target`'s current program and applied. Returns the number of edits
+/// applied, or the first failing line's index and message.
+pub(crate) fn replay_lines<'a, T>(
+    target: &mut T,
+    history: impl IntoIterator<Item = &'a str>,
+    program: impl Fn(&T) -> &Program,
+    mut apply: impl FnMut(&mut T, &Edit) -> Result<IncrOutcome, EditError>,
+) -> Result<u64, ReplayError> {
+    let mut applied = 0u64;
+    for (index, line) in history.into_iter().enumerate() {
+        let fail = |message: String| ReplayError { index, message };
+        let script = Script::parse(line).map_err(|e| fail(e.message))?;
+        for step in script.steps() {
+            let edit = step.resolve(program(target)).map_err(|e| fail(e.message))?;
+            apply(target, &edit).map_err(|e| fail(e.to_string()))?;
+            applied += 1;
+        }
+    }
+    Ok(applied)
+}
+
 /// `true` when every surviving procedure and variable keeps its id — the
 /// precondition for patching the cached graph structures in place.
 fn identity_maps(d: &EditDelta) -> bool {
@@ -1322,53 +1334,17 @@ fn fresh_call_cache<S: EffectSet>(
     }
 }
 
-/// Flat (call-free) `LMOD`/`LUSE` of one procedure — the same statement
-/// walk [`modref_ir::LocalEffects::compute`] performs per procedure.
-fn flat_effects_of<S: EffectSet>(program: &Program, p: ProcId) -> (S, S) {
-    let nv = program.num_vars();
-    let mut m = S::empty(nv);
-    let mut u = S::empty(nv);
-    walk_stmts(program.proc_(p).body(), &mut |s| {
-        m.union_with(&S::from_dense_owned(modref_ir::lmod_of_stmt(program, s)));
-        u.union_with(&S::from_dense_owned(modref_ir::luse_of_stmt(program, s)));
-    });
-    (m, u)
-}
-
-/// The §3.3 nesting extension, children before parents — a verbatim
-/// replica of the batch sweep so extended sets stay bit-identical.
-fn extend_flat<S: EffectSet>(
-    program: &Program,
-    flat_mod: &[S],
-    flat_use: &[S],
-    local_sets: &[S],
-) -> (Vec<S>, Vec<S>) {
-    let mut order: Vec<ProcId> = program.procs().collect();
-    order.sort_by_key(|&p| std::cmp::Reverse(program.proc_(p).level()));
-    let mut imod = flat_mod.to_vec();
-    let mut iuse = flat_use.to_vec();
-    for &p in &order {
-        let children = program.proc_(p).children().to_vec();
-        for q in children {
-            let (child_m, child_u) = (imod[q.index()].clone(), iuse[q.index()].clone());
-            imod[p.index()].union_with_difference(&child_m, &local_sets[q.index()]);
-            iuse[p.index()].union_with_difference(&child_u, &local_sets[q.index()]);
-        }
-    }
-    (imod, iuse)
-}
-
-/// One side of the Figure 1 sweep over the maintained binding
-/// condensation. With no cached seeds (`old_seeds: None`) every component
-/// is recomputed in a dense ascending-id pass; with a cache, a
-/// [`SparseSweep`] visits only components whose seeds moved, whose
-/// structure a patch touched, or whose successors' representer values
-/// changed — the early cutoff stops the frontier at any component whose
-/// recomputed value equals its cached one. `rep` holds the per-*node*
-/// representer booleans and is updated in place; the broadcast (step (4)
-/// of Figure 1, one boolean per formal) always runs in full.
+/// One side of Figure 1 over the maintained binding condensation: the
+/// batch solver's seed and broadcast steps around a [`SparseSweep`]
+/// frontier. With no cached seeds (`old_seeds: None`, a fresh
+/// condensation) every component is seeded; with a cache, the frontier
+/// starts at components whose seeds moved or whose structure a patch
+/// touched, and grows only through components whose recomputed value
+/// changed — the early cutoff stops it at any component whose value
+/// equals its cached one. `rep` holds the per-*node* representer booleans
+/// and is updated in place. Returns the seeds and the `RMOD` sets.
 #[allow(clippy::too_many_arguments)]
-fn rmod_sweep_side<S: EffectSet>(
+fn rmod_sweep<S: EffectSet>(
     program: &Program,
     beta: &BindingGraph,
     dc: &DynCondensation,
@@ -1380,44 +1356,29 @@ fn rmod_sweep_side<S: EffectSet>(
     recomputed: &mut usize,
     guard: &Guard,
 ) -> Result<(Vec<bool>, Vec<S>), Interrupt> {
-    let n = beta.num_nodes();
-    let mut seeds = Vec::with_capacity(n);
-    for node in 0..n {
-        let formal = beta.formal_of_node(node);
-        let (owner, _) = program
-            .formal_position(formal)
-            .expect("β nodes are formals");
-        seeds.push(initial[owner.index()].contains(formal.index()));
-    }
-    guard.charge(0, n as u64);
+    let mut ops = OpCounter::new();
+    let mut stride = Strided::new(512);
+    let seeds = rmod_seed(program, initial, beta, &mut stride, guard, &mut ops)?;
+    guard.charge(0, ops.bool_steps);
     guard.check()?;
 
     let sccs = dc.sccs();
     let cond = dc.cond();
+    let mut sweep = SparseSweep::new(dc.cond_preds(), dc.levels().level_map());
     match old_seeds {
         None => {
             rep.clear();
-            rep.resize(n, false);
-            // Ascending SccId = successors first; every component's value
-            // is the OR of its member seeds and successor values.
+            rep.resize(seeds.len(), false);
             for c in 0..sccs.len() {
-                let mut value = false;
-                for &m in sccs.members(c) {
-                    value |= seeds[m];
-                }
-                for d in cond.successor_nodes(c) {
-                    value |= rep[sccs.members(d)[0]];
-                }
-                for &m in sccs.members(c) {
-                    rep[m] = value;
-                }
+                sweep.seed(c);
             }
-            *recomputed += sccs.len();
-            guard.charge(0, sccs.len() as u64);
         }
         Some(old) => {
-            debug_assert_eq!(old.len(), n, "β node set is stable under cached applies");
-            let mut sweep = SparseSweep::new(dc.cond_preds(), dc.levels().level_map());
+            debug_assert_eq!(
+                old.len(),
+                seeds.len(),
+                "β node set is stable under cached applies"
+            );
             for (node, (&new, &was)) in seeds.iter().zip(old).enumerate() {
                 if new != was {
                     sweep.seed(sccs.component_of(node));
@@ -1426,44 +1387,43 @@ fn rmod_sweep_side<S: EffectSet>(
             for &node in patch_nodes {
                 sweep.seed(sccs.component_of(node));
             }
-            let mut batch = Vec::new();
-            while sweep.next_batch(&mut batch) {
-                for &c in &batch {
-                    let mut value = false;
-                    for &m in sccs.members(c) {
-                        value |= seeds[m];
-                    }
-                    for d in cond.successor_nodes(c) {
-                        value |= rep[sccs.members(d)[0]];
-                    }
-                    let changed = sccs.members(c).iter().any(|&m| rep[m] != value);
-                    for &m in sccs.members(c) {
-                        rep[m] = value;
-                    }
-                    sweep.update(c, changed);
-                }
-            }
-            *reused += sweep.total() - sweep.recomputed();
-            *recomputed += sweep.recomputed();
-            guard.charge(0, sweep.recomputed() as u64);
         }
     }
+    let mut batch = Vec::new();
+    while sweep.next_batch(&mut batch) {
+        for &c in &batch {
+            let mut value = false;
+            for &m in sccs.members(c) {
+                value |= seeds[m];
+            }
+            for d in cond.successor_nodes(c) {
+                value |= rep[sccs.members(d)[0]];
+            }
+            let changed = sccs.members(c).iter().any(|&m| rep[m] != value);
+            for &m in sccs.members(c) {
+                rep[m] = value;
+            }
+            sweep.update(c, changed);
+        }
+    }
+    *reused += sweep.total() - sweep.recomputed();
+    *recomputed += sweep.recomputed();
+    guard.charge(0, sweep.recomputed() as u64);
     guard.check()?;
 
-    // Broadcast — the exact step (4) of Figure 1, unbound formals taking
-    // their IMOD bit directly.
-    let mut rmod = vec![S::empty(program.num_vars()); program.num_procs()];
-    for p in program.procs() {
-        for &f in program.proc_(p).formals() {
-            let in_rmod = match beta.node_of_formal(f) {
-                Some(node) => rep[node],
-                None => initial[p.index()].contains(f.index()),
-            };
-            if in_rmod {
-                rmod[p.index()].insert(f.index());
-            }
-        }
-    }
+    // The budget counts Figure 1 here in components recomputed, so the
+    // broadcast's per-formal steps go uncharged; it runs sequentially,
+    // like the frontier loop.
+    let (rmod, _) = rmod_broadcast(
+        program,
+        initial,
+        beta,
+        |node| rep[node],
+        &ThreadPool::new(1),
+        &mut stride,
+        guard,
+        &mut OpCounter::new(),
+    )?;
     Ok((seeds, rmod))
 }
 
@@ -1479,67 +1439,16 @@ fn diff_procs<S: EffectSet>(new: &[S], old: Option<&[S]>, is_new: &[bool]) -> Ve
     }
 }
 
-/// Solves one batch of pairwise-independent components on the pool with
-/// the batch kernel, writes the rows back per node, and reports each
-/// component's value-changed bit to `on_done`.
-#[allow(clippy::too_many_arguments)]
-fn run_batch<S: EffectSet>(
-    batch: &[SccId],
-    dc: &DynCondensation,
-    rows: &mut [S],
-    seeds: &[S],
-    locals: &[S],
-    nv: usize,
-    pool: &ThreadPool,
-    guard: &Guard,
-    mut on_done: impl FnMut(SccId, bool),
-) -> Result<(), Interrupt> {
-    let graph = dc.graph();
-    let sccs = dc.sccs();
-    let comp_map = sccs.component_map();
-    let comp_pos = dc.comp_pos();
-    let results = {
-        let g_final: &[S] = rows;
-        pool.par_map_while(
-            batch.len(),
-            || !guard.should_stop(),
-            |i| {
-                if i % 64 == 0 {
-                    let _ = guard.check();
-                }
-                solve_component(
-                    batch[i], graph, sccs, comp_map, comp_pos, seeds, locals, g_final, nv, guard,
-                )
-            },
-        )
-    };
-    let mut work = OpCounter::new();
-    for (slot, &c) in results.into_iter().zip(batch) {
-        let Some(Ok((sets, counter))) = slot else {
-            guard.check()?;
-            return Err(guard.interrupt().unwrap_or(Interrupt::Halted));
-        };
-        work += counter;
-        let members = sccs.members(c);
-        let changed = sets.iter().zip(members).any(|(set, &m)| rows[m] != *set);
-        for (set, &m) in sets.into_iter().zip(members) {
-            rows[m] = set;
-        }
-        on_done(c, changed);
-    }
-    guard.charge(work.bitvec_steps, work.bool_steps);
-    guard.check()
-}
-
-/// One side of one `GMOD` problem over its maintained condensation.
-/// `dirty: None` is the dense path (fresh condensation, zeroed rows):
-/// every level group is solved. `dirty: Some((seed_dirty, locals_dirty,
-/// patch_nodes))` is the sparse path: the frontier starts from
-/// procedures whose `IMOD⁺` seeds moved, the *predecessors* of
+/// One side of one `GMOD` problem over its maintained condensation, as a
+/// [`SparseSweep`] whose batches — pairwise-independent components of one
+/// level — are solved on the pool with the batch kernel. `dirty: None`
+/// (a fresh condensation, zeroed rows) seeds every component. `dirty:
+/// Some((seed_dirty, locals_dirty, patch_nodes))` starts the frontier
+/// from procedures whose `IMOD⁺` seeds moved, the *predecessors* of
 /// procedures whose `LOCAL` filter moved (`LOCAL(q)` is applied on edges
 /// into `q`, so it is the callers' input), and the nodes an edge patch
-/// touched — then grows only through components whose recomputed
-/// fixpoint actually changed.
+/// touched. Either way the frontier then grows only through components
+/// whose recomputed fixpoint actually changed.
 #[allow(clippy::too_many_arguments)]
 fn sweep_gmod_side<S: EffectSet>(
     dc: &DynCondensation,
@@ -1547,34 +1456,24 @@ fn sweep_gmod_side<S: EffectSet>(
     seeds: &[S],
     locals: &[S],
     dirty: Option<(&[bool], &[bool], &[usize])>,
-    nv: usize,
     pool: &ThreadPool,
     guard: &Guard,
     reused: &mut usize,
     recomputed: &mut usize,
 ) -> Result<(), Interrupt> {
     guard.checkpoint("incr.gmod.sweep")?;
+    let graph = dc.graph();
+    let sccs = dc.sccs();
+    let comp_map = sccs.component_map();
+    let comp_pos = dc.comp_pos();
+    let mut sweep = SparseSweep::new(dc.cond_preds(), dc.levels().level_map());
     match dirty {
         None => {
-            let levels = dc.levels();
-            for level in 0..levels.num_levels() {
-                run_batch(
-                    levels.group(level),
-                    dc,
-                    rows,
-                    seeds,
-                    locals,
-                    nv,
-                    pool,
-                    guard,
-                    |_, _| {},
-                )?;
+            for c in 0..sccs.len() {
+                sweep.seed(c);
             }
-            *recomputed += dc.sccs().len();
         }
         Some((seed_dirty, locals_dirty, patch_nodes)) => {
-            let comp_map = dc.sccs().component_map();
-            let mut sweep = SparseSweep::new(dc.cond_preds(), dc.levels().level_map());
             for (p, &d) in seed_dirty.iter().enumerate() {
                 if d {
                     sweep.seed(comp_map[p]);
@@ -1590,24 +1489,54 @@ fn sweep_gmod_side<S: EffectSet>(
             for &node in patch_nodes {
                 sweep.seed(comp_map[node]);
             }
-            let mut batch = Vec::new();
-            while sweep.next_batch(&mut batch) {
-                run_batch(
-                    &batch,
-                    dc,
-                    rows,
-                    seeds,
-                    locals,
-                    nv,
-                    pool,
-                    guard,
-                    |c, changed| sweep.update(c, changed),
-                )?;
-            }
-            *reused += sweep.total() - sweep.recomputed();
-            *recomputed += sweep.recomputed();
         }
     }
+    let mut batch = Vec::new();
+    while sweep.next_batch(&mut batch) {
+        let results = {
+            let g_final: &[S] = rows;
+            pool.par_map_while(
+                batch.len(),
+                || !guard.should_stop(),
+                |i| {
+                    if i % 64 == 0 {
+                        let _ = guard.check();
+                    }
+                    let c = batch[i];
+                    let mut counter = OpCounter::new();
+                    solve_component(
+                        sccs.members(c),
+                        |u| graph.successors_slice(u).iter().map(|&(q, _)| q),
+                        |q| (comp_map[q] == c).then(|| comp_pos[q]),
+                        |u| &seeds[u],
+                        |q| &locals[q],
+                        |q| &g_final[q],
+                        &mut counter,
+                        |_| guard.check(),
+                    )
+                    .map(|sets| (sets, counter))
+                },
+            )
+        };
+        let mut work = OpCounter::new();
+        for (slot, &c) in results.into_iter().zip(&batch) {
+            let Some(Ok((sets, counter))) = slot else {
+                guard.check()?;
+                return Err(guard.interrupt().unwrap_or(Interrupt::Halted));
+            };
+            work += counter;
+            let members = sccs.members(c);
+            let changed = sets.iter().zip(members).any(|(set, &m)| rows[m] != *set);
+            for (set, &m) in sets.into_iter().zip(members) {
+                rows[m] = set;
+            }
+            sweep.update(c, changed);
+        }
+        guard.charge(work.bitvec_steps, work.bool_steps);
+        guard.check()?;
+    }
+    *reused += sweep.total() - sweep.recomputed();
+    *recomputed += sweep.recomputed();
     Ok(())
 }
 #[cfg(test)]

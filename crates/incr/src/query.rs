@@ -41,11 +41,13 @@ use modref_core::demand::{
 };
 use modref_core::Trace;
 use modref_core::{Analyzer, Guard};
+use modref_guard::panic_message;
 use modref_ir::{CallSiteId, Edit, EditError, ProcId, Program};
 
-use crate::engine::{IncrDelta, IncrOutcome, IncrementalEngineIn, IncrementalExt, ReplayError};
+use crate::engine::{
+    replay_lines, IncrDelta, IncrOutcome, IncrementalEngineIn, IncrementalExt, ReplayError,
+};
 use crate::render::SiteSets;
-use crate::script::Script;
 
 /// One answered query: the sets, why they were widened (if they were),
 /// and the work charged in the paper's cost units.
@@ -189,24 +191,9 @@ impl<S: EffectSet> QueryEngineIn<S> {
     where
         I: IntoIterator<Item = &'a str>,
     {
-        match &mut self.state {
-            State::Full(engine) => engine.replay_history(history),
-            State::Lazy { .. } => {
-                let mut applied = 0u64;
-                for (index, line) in history.into_iter().enumerate() {
-                    let fail = |message: String| ReplayError { index, message };
-                    let script = Script::parse(line).map_err(|e| fail(e.message))?;
-                    for step in script.steps() {
-                        let edit = step.resolve(self.program()).map_err(|e| fail(e.message))?;
-                        self.apply_guarded(&edit, &Guard::unlimited())
-                            .map_err(|e| fail(e.to_string()))?;
-                        applied += 1;
-                    }
-                }
-                Ok(applied)
-            }
-            State::Poisoned => unreachable!("promotion never escapes"),
-        }
+        replay_lines(self, history, Self::program, |engine, edit| {
+            engine.apply_guarded(edit, &Guard::unlimited())
+        })
     }
 
     /// `MOD(s)`/`USE(s)`/`DMOD(s)`/`DUSE(s)` for one call site. Lazy mode
@@ -258,7 +245,7 @@ impl<S: EffectSet> QueryEngineIn<S> {
                             answer: conservative_site_answer(program, s),
                             degraded: Some(format!(
                                 "panic during demand query: {}",
-                                panic_text(payload.as_ref())
+                                panic_message(payload.as_ref())
                             )),
                             ops: OpCounter::new(),
                         }
@@ -310,7 +297,7 @@ impl<S: EffectSet> QueryEngineIn<S> {
                             answer: conservative_proc_answer(program, p),
                             degraded: Some(format!(
                                 "panic during demand query: {}",
-                                panic_text(payload.as_ref())
+                                panic_message(payload.as_ref())
                             )),
                             ops: OpCounter::new(),
                         }
@@ -499,16 +486,6 @@ impl AnyQueryEngine {
             AnyQueryEngine::Dense(e) => e.promote(),
             AnyQueryEngine::Hybrid(e) => e.promote(),
         }
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -75,7 +75,10 @@ pub use callgraph::CallGraph;
 pub use edit::{Edit, EditDelta, EditError};
 pub use error::ValidationError;
 pub use ids::{CallSiteId, ProcId, VarId};
-pub use localeffects::{flat_effects_of, lmod_of_stmt, luse_of_stmt, LocalEffects, LocalEffectsIn};
+pub use localeffects::{
+    absorb_children, extend_nesting, flat_effects_of, lmod_of_stmt, luse_of_stmt, LocalEffects,
+    LocalEffectsIn,
+};
 pub use program::{CallSite, Procedure, Program, VarInfo, VarKind};
 pub use prune::PrunedProgram;
 pub use stats::ProgramStats;

@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use modref_bitset::SetRepr;
 use modref_core::Analyzer;
-use modref_guard::{Budget, FaultPlan, Guard, Interrupt};
+use modref_guard::{panic_message, Budget, FaultPlan, Guard, Interrupt};
 use modref_incr::render::{
     render_json, render_json_proc, render_json_site_answer, SessionRenderer, SiteSets,
 };
@@ -665,16 +665,6 @@ fn panic_fallback(
         ),
         Status::Degraded,
     )
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Renders the sound widened report for `target`, or `None` when the

@@ -9,8 +9,9 @@
 
 use std::error::Error;
 
-use modref_core::{Analyzer, GmodAlgorithm};
+use modref_core::{solve_gmod_multi_fused, Analyzer, BitSet};
 use modref_frontend::parse_program;
+use modref_ir::CallGraph;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let source = "
@@ -38,9 +39,20 @@ fn main() -> Result<(), Box<dyn Error>> {
     ";
 
     let program = parse_program(source)?;
-    let summary = Analyzer::new()
-        .gmod_algorithm(GmodAlgorithm::MultiLevelFused)
-        .analyze(&program);
+    let summary = Analyzer::new().analyze(&program);
+    // The fused multi-level algorithm run on its own agrees with the
+    // pipeline's GMOD.
+    let imod_plus: Vec<BitSet> = program
+        .procs()
+        .map(|p| summary.imod_plus(p).clone())
+        .collect();
+    let fused = solve_gmod_multi_fused(
+        &program,
+        CallGraph::build(&program).graph(),
+        &imod_plus,
+        &program.local_sets(),
+    );
+    assert_eq!(fused.gmod_all(), summary.gmod_all());
 
     let proc_by_name = |name: &str| {
         program
